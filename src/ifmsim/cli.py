@@ -200,6 +200,8 @@ def _check_scan(block, errors, path):
             errors.append(f"{path}.positions: expected a nonempty list of numbers")
         elif any(b >= a for a, b in zip(positions, positions[1:])):
             errors.append(f"{path}.positions: must be strictly decreasing")
+        elif not all(p > 0 for p in positions):
+            errors.append(f"{path}.positions: must all be positive distances")
     _check_int(block, "trials_per_position", errors, path, minimum=1)
     _check_number(block, "confidence_target", errors, path, exclusive_min=0.0)
     if isinstance(block.get("confidence_target"), (int, float)) and not isinstance(

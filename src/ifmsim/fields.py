@@ -10,8 +10,9 @@ suite pins the identity.
 Trajectories are integrated with classical fixed-step RK4 until the particle
 crosses a configured exit plane (the second-grating plane) or leaves a
 bounding box; the deflection angle is the angle between the initial and final
-velocity.  A bisection root-finder inverts deflection-vs-distance to the
-critical source distance for a given threshold angle.
+velocity.  Brent's root-finder, seeded with the bracketing pair from a coarse
+monotonicity scan, inverts deflection-vs-distance to the critical source
+distance for a given threshold angle.
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ FieldSource = PointCharge | UniformBRegion | UniformERegion | PointMass
 
 # Nonrelativistic speed bound as a fraction of c.
 MAX_SPEED_FRACTION = 0.01
+
+# Machine epsilon; the root finder's relative tolerance never drops below 8x it.
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,9 +361,7 @@ def integrate_trajectory(
             vz + six * (a1z + 2.0 * (a2z + a3z) + a4z),
         )
 
-    ts = [0.0]
-    rs = [(x, y, z)]
-    vs = [(vx, vy, vz)]
+    rows = [(0.0, x, y, z, vx, vy, vz)]
     t = 0.0
     termination = None
     for _ in range(max_steps):
@@ -389,9 +391,7 @@ def integrate_trajectory(
         else:
             x, y, z, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
             t += dt
-        ts.append(t)
-        rs.append((x, y, z))
-        vs.append((vx, vy, vz))
+        rows.append((t, x, y, z, vx, vy, vz))
         if termination is None and bounds is not None:
             pos = np.array((x, y, z))
             if np.any(pos < blo) or np.any(pos > bhi):
@@ -402,10 +402,11 @@ def integrate_trajectory(
         raise StepLimitError(f"exit plane not reached within {max_steps} steps")
 
     v_final = np.array((vx, vy, vz))
+    samples = np.array(rows)
     return TrajectoryResult(
-        t=np.array(ts),
-        r=np.array(rs),
-        v=np.array(vs),
+        t=samples[:, 0],
+        r=samples[:, 1:4],
+        v=samples[:, 4:7],
         deflection_angle=_deflection_between(particle.v0, v_final),
         termination=termination,
     )
@@ -495,10 +496,17 @@ def critical_distance(
 ) -> float:
     """Source distance at which the deflection angle equals ``phi_c``.
 
-    Bisection over ``bracket`` = (near, far) distances, to relative tolerance
-    ``rel_tol``.  Deflection must decrease monotonically with distance over
-    the bracket (checked on a coarse scan) and the bracket must straddle
-    ``phi_c``.
+    Deflection must decrease monotonically with distance over ``bracket`` =
+    (near, far): a coarse scan of ``monotonicity_samples`` evenly spaced
+    distances checks that, and that the bracket straddles ``phi_c``.  The
+    adjacent pair of scan samples that straddles ``phi_c`` then seeds Brent's
+    method (R. P. Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4), which mixes inverse quadratic interpolation, secant steps
+    and bisection while always keeping the root bracketed.  It stops once the
+    half-bracket is at most 0.25 * ``rel_tol`` * |b|, where b is the current
+    estimate, so the returned distance lies within 0.5 * ``rel_tol`` * d of
+    the root d (``rel_tol`` is floored at 8 machine epsilons).  If ``phi_c`` equals a sample's deflection exactly, that
+    sample's distance is returned without further integration.
     """
     lo, hi = bracket
     if not 0 < lo < hi:
@@ -509,8 +517,8 @@ def critical_distance(
             particle, source_template, geometry, d, dt, constants=constants, **integrate_kwargs
         )
 
-    samples = np.linspace(lo, hi, monotonicity_samples)
-    angles = [deflection(float(d)) for d in samples]
+    samples = [float(d) for d in np.linspace(lo, hi, monotonicity_samples)]
+    angles = [deflection(d) for d in samples]
     slack = 1e-12 * max(angles) if angles else 0.0
     for a, b in zip(angles, angles[1:]):
         if b > a + slack:
@@ -520,13 +528,55 @@ def critical_distance(
             f"deflection range [{angles[-1]:.3e}, {angles[0]:.3e}] does not straddle {phi_c:.3e}"
         )
 
-    while (hi - lo) > rel_tol * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        if deflection(mid) >= phi_c:
-            lo = mid
+    for d, angle in zip(samples, angles):
+        if angle == phi_c:
+            return d
+    # First adjacent pair that straddles phi_c; f = deflection - phi_c is > 0
+    # at its near end and < 0 at its far end.
+    i = next(k for k in range(len(angles) - 1) if angles[k + 1] < phi_c)
+    a, fa = samples[i], angles[i] - phi_c
+    b, fb = samples[i + 1], angles[i + 1] - phi_c
+    c, fc = a, fa
+    step = prev_step = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            # The root now lies between a and b.
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            # Keep b the end with the smaller residual.
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.25 * rel_tol, 2.0 * _EPS) * abs(b)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                # Secant step.
+                p = 2.0 * half * s
+                q = 1.0 - s
+            else:
+                # Inverse quadratic interpolation through a, b and c.
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # Accept the step only if it stays well inside the bracket and
+            # shrinks faster than the step before last; otherwise bisect.
+            if 2.0 * p < 3.0 * half * q - abs(tol * q) and p < abs(0.5 * prev_step * q):
+                prev_step, step = step, p / q
+            else:
+                step = prev_step = half
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            step = prev_step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = deflection(b) - phi_c
 
 
 def light_deflection(M: float, b: float, constants: PhysicalConstants = CGS) -> float:

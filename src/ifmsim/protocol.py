@@ -164,6 +164,8 @@ class ScanConfig:
             raise ValueError("positions must be nonempty")
         if any(b >= a for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly decreasing (approaching the beam)")
+        if not all(p > 0.0 for p in self.positions):
+            raise ValueError("positions must be positive distances")
         if self.trials_per_position < 1:
             raise ValueError("trials_per_position must be at least 1")
         if not 0.0 < self.confidence_target < 1.0:

@@ -294,3 +294,12 @@ class TestMainExitCodes:
         header, *rows = table.splitlines()
         assert header.split("\t")[0] == "index"
         assert len(rows) >= 1
+
+    def test_nonpositive_scan_positions_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "field_scan_electric", "seed": 1,
+            "parameters": {"source_charge": 5e-6, "scan": {"positions": [0.4, 0.0, -0.2]}},
+        }))
+        assert main(["run", str(cfg)]) == 2
+        assert "parameters.scan.positions" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Field evaluation, Lorentz-force numerics, trajectory bending, gravity formulas."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import ifmsim.fields
 from ifmsim.fields import (
     CGS,
     BeamGeometry,
@@ -224,9 +226,36 @@ class TestIntegrateTrajectory:
         assert result.termination == "bounds"
         assert abs(result.r_final[1]) > 0.01
 
+    def test_samples_match_recorded_digest(self):
+        """t, r and v of a fixed Coulomb pass, pinned bit for bit."""
+        result = integrate_trajectory(
+            beam_particle(), PointCharge(q=5e-6, position=[0.0, 0.2, 0.0]), 0.5, 1e-11
+        )
+        digest = hashlib.sha256()
+        for samples in (result.t, result.r, result.v):
+            digest.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
+        assert result.r.shape == result.v.shape == (1001, 3)
+        assert digest.hexdigest() == (
+            "1ae1255711bfe771e46c8902e4d33fd71cb0b5ab0d24d13a31b93ce10579c9ea"
+        )
+
     def test_relativistic_particle_rejected(self):
         with pytest.raises(ValueError):
             TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[0, 0, 0], v0=[0.02 * CGS.c, 0, 0])
+
+
+@pytest.fixture
+def trajectory_calls(monkeypatch):
+    """List that gains one entry per fields.integrate_trajectory call."""
+    calls = []
+    original = ifmsim.fields.integrate_trajectory
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ifmsim.fields, "integrate_trajectory", counting)
+    return calls
 
 
 class TestCriticalDistance:
@@ -239,6 +268,32 @@ class TestCriticalDistance:
         d_c = critical_distance(particle, src, geom, phi_c, (0.10, 0.40), 1e-11)
         angle = deflection_at_distance(particle, src, geom, d_c, 1e-11)
         assert angle == pytest.approx(phi_c, rel=1e-4)
+
+    def test_few_trajectories_per_solve(self, trajectory_calls):
+        """5 monotonicity samples plus a handful of Brent steps (bisection took 26)."""
+        src = PointCharge(q=5e-6, position=[0, 1, 0])
+        critical_distance(beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), 1e-11)
+        assert len(trajectory_calls) <= 12
+
+    @pytest.mark.parametrize("q", np.linspace(2.6e-6, 7.8e-6, 5))
+    def test_within_tolerance_of_tight_reference(self, q):
+        particle = beam_particle()
+        geom = beam_geometry()
+        src = PointCharge(q=float(q), position=[0, 1, 0])
+        rel_tol = 1e-6
+        d_c = critical_distance(particle, src, geom, 2e-3, (0.10, 0.40), 1e-11, rel_tol=rel_tol)
+        ref = critical_distance(particle, src, geom, 2e-3, (0.10, 0.40), 1e-11, rel_tol=1e-12)
+        assert abs(d_c - ref) <= 0.5 * rel_tol * ref
+
+    def test_threshold_at_a_sample_returns_that_sample(self, trajectory_calls):
+        particle = beam_particle()
+        geom = beam_geometry()
+        src = PointCharge(q=5e-6, position=[0, 1, 0])
+        sample = float(np.linspace(0.10, 0.40, 5)[1])
+        phi_c = deflection_at_distance(particle, src, geom, sample, 1e-11)
+        trajectory_calls.clear()
+        assert critical_distance(particle, src, geom, phi_c, (0.10, 0.40), 1e-11) == sample
+        assert len(trajectory_calls) == 5
 
     def test_deflection_monotone_in_distance_by_direct_scan(self):
         particle = beam_particle()

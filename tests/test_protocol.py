@@ -210,6 +210,10 @@ class TestScanConfigValidation:
         with pytest.raises(ValueError):
             scan_config(positions=(0.1, 0.2))
 
+    def test_positions_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            scan_config(positions=(0.4, 0.0, -0.2))
+
     def test_positions_nonempty(self):
         with pytest.raises(ValueError):
             scan_config(positions=())
