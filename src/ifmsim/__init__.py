@@ -7,23 +7,8 @@ Lorentz-force trajectory bending, and the discrete source-scanning protocol
 that measures a field without the detected particle ever entering it.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .core import (
-    ABSORBED,
-    Absorber,
-    ElementUnitary,
-    ModeState,
-    apply_absorber,
-    apply_element,
-    beam_splitter,
-    detection_probabilities,
-    mirror,
-    phase_plate,
-    rotation,
-    sample_outcome,
-    sample_outcomes,
-)
 from .fields import (
     CGS,
     BeamGeometry,
@@ -31,7 +16,6 @@ from .fields import (
     FieldSource,
     PhysicalConstants,
     PointCharge,
-    PointMass,
     ProtocolError,
     SingularityError,
     StepLimitError,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,6 +100,14 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
+def _finite(value) -> bool:
+    """False for NaN and +-Infinity (Python's json accepts both) and ints beyond float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_number(params, key, errors, path, *, required=False, minimum=None,
                   exclusive_min=None, maximum=None):
     if key not in params:
@@ -108,6 +117,9 @@ def _check_number(params, key, errors, path, *, required=False, minimum=None,
     value = params[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{path}.{key}: expected a number, got {type(value).__name__}")
+        return
+    if not _finite(value):
+        errors.append(f"{path}.{key}: must be finite, got {value}")
         return
     if minimum is not None and value < minimum:
         errors.append(f"{path}.{key}: must be >= {minimum}, got {value}")
@@ -155,6 +167,8 @@ def _check_vector(params, key, errors, path, *, required=False, length=3):
     )
     if not ok:
         errors.append(f"{path}.{key}: expected a list of {length} numbers")
+    elif not all(_finite(v) for v in value):
+        errors.append(f"{path}.{key}: entries must be finite, got {value}")
 
 
 def _check_block(params, key, errors, path, checker):
@@ -198,6 +212,8 @@ def _check_scan(block, errors, path):
             isinstance(p, (int, float)) and not isinstance(p, bool) for p in positions
         ):
             errors.append(f"{path}.positions: expected a nonempty list of numbers")
+        elif not all(_finite(p) for p in positions):
+            errors.append(f"{path}.positions: entries must be finite, got {positions}")
         elif any(b >= a for a, b in zip(positions, positions[1:])):
             errors.append(f"{path}.positions: must be strictly decreasing")
         elif not all(p > 0 for p in positions):

@@ -110,24 +110,7 @@ class UniformERegion:
         return 0.5 * (self.box_min + self.box_max)
 
 
-@dataclass(frozen=True, eq=False)
-class PointMass:
-    """Point mass M (g) at a fixed position (cm).
-
-    Exerts no electromagnetic field; its effect on light is covered by
-    :func:`light_deflection`.
-    """
-
-    M: float
-    position: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", _vec3(self.position, "position"))
-        if not math.isfinite(self.M) or self.M < 0:
-            raise ValueError("mass must be finite and nonnegative")
-
-
-FieldSource = PointCharge | UniformBRegion | UniformERegion | PointMass
+FieldSource = PointCharge | UniformBRegion | UniformERegion
 
 # Nonrelativistic speed bound as a fraction of c.
 MAX_SPEED_FRACTION = 0.01
@@ -208,9 +191,8 @@ def eval_fields(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Electric and magnetic field of ``source`` at point ``r`` (cm).
 
-    Returns (E, B) in (statV/cm, gauss).  Point masses produce no
-    electromagnetic field.  Evaluation exactly at a point source is a domain
-    error.
+    Returns (E, B) in (statV/cm, gauss).  Evaluation exactly at a point
+    source is a domain error.
     """
     r = _vec3(r, "r")
     zero = np.zeros(3)
@@ -226,8 +208,6 @@ def eval_fields(
     if isinstance(source, UniformERegion):
         inside = bool(np.all(r >= source.box_min) and np.all(r <= source.box_max))
         return source.E.copy() if inside else zero.copy(), zero
-    if isinstance(source, PointMass):
-        return zero, zero.copy()
     raise TypeError(f"unsupported field source {type(source).__name__}")
 
 
@@ -288,12 +268,6 @@ def _acceleration_fn(particle: TestParticle, source: FieldSource, constants: Phy
             return 0.0, 0.0, 0.0
 
         return accel
-    if isinstance(source, PointMass):
-
-        def accel(x, y, z, vx, vy, vz):
-            return 0.0, 0.0, 0.0
-
-        return accel
     raise TypeError(f"unsupported field source {type(source).__name__}")
 
 
@@ -332,7 +306,7 @@ def integrate_trajectory(
         raise ValueError("particle must start before the exit plane, moving toward it")
 
     accel = _acceleration_fn(particle, source, constants)
-    guard_point = isinstance(source, (PointCharge, PointMass))
+    guard_point = isinstance(source, PointCharge)
     if guard_point:
         gx, gy, gz = (float(c) for c in source.position)
         cutoff2 = singularity_cutoff * singularity_cutoff
@@ -444,7 +418,7 @@ def with_position(source: FieldSource, position) -> FieldSource:
     Box sources are translated rigidly so their center lands on the target.
     """
     position = _vec3(position, "position")
-    if isinstance(source, (PointCharge, PointMass)):
+    if isinstance(source, PointCharge):
         return dataclasses.replace(source, position=position)
     if isinstance(source, (UniformBRegion, UniformERegion)):
         shift = position - source.position
@@ -511,6 +485,8 @@ def critical_distance(
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < near < far, got {bracket}")
+    if monotonicity_samples < 2:
+        raise ValueError(f"monotonicity_samples must be at least 2, got {monotonicity_samples}")
 
     def deflection(d: float) -> float:
         return deflection_at_distance(
@@ -519,7 +495,7 @@ def critical_distance(
 
     samples = [float(d) for d in np.linspace(lo, hi, monotonicity_samples)]
     angles = [deflection(d) for d in samples]
-    slack = 1e-12 * max(angles) if angles else 0.0
+    slack = 1e-12 * max(angles)
     for a, b in zip(angles, angles[1:]):
         if b > a + slack:
             raise ProtocolError("deflection is not monotone decreasing in source distance")

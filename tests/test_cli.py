@@ -303,3 +303,30 @@ class TestMainExitCodes:
         }))
         assert main(["run", str(cfg)]) == 2
         assert "parameters.scan.positions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, parameters, field",
+        [
+            ("ev_bomb", {"object_present": True, "arm_phase": float("nan")},
+             "parameters.arm_phase"),
+            ("ev_bomb", {"object_present": True, "arm_phase": 10**400},
+             "parameters.arm_phase"),
+            ("field_scan_electric", {"source_charge": float("inf")},
+             "parameters.source_charge"),
+            ("field_scan_electric",
+             {"source_charge": 5e-6,
+              "particle": {"q": -4.8e-10, "m": 9.11e-28, "r0": [-0.5, 0.0, 0.0],
+                           "v0": [float("nan"), 0.0, 0.0]}},
+             "parameters.particle.v0"),
+            ("field_scan_electric",
+             {"source_charge": 5e-6, "scan": {"positions": [float("inf"), 0.3]}},
+             "parameters.scan.positions"),
+        ],
+    )
+    def test_nonfinite_numbers_exit_2(self, scenario, parameters, field, tmp_path, capsys):
+        # Python's json reads and writes NaN and Infinity as extensions; an int
+        # beyond float range would overflow to infinity.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "seed": 1, "parameters": parameters}))
+        assert main(["run", str(cfg)]) == 2
+        assert f"{field}: " in capsys.readouterr().err

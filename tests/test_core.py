@@ -1,221 +1,117 @@
-"""Unit and property tests for the mode-amplitude engine."""
+"""Two-mode optics behind the bomb test: splitter, absorber and outcome sampling.
+
+The interferometer in ``ifmsim.photon_mz`` is a 2-vector of amplitudes
+(upper, lower) pushed through the constant balanced ``SPLITTER``; an object
+zeroes one amplitude and the lost norm is the absorption probability.
+"""
 
 import numpy as np
 import pytest
 
-from ifmsim.core import (
-    ABSORBED,
-    Absorber,
-    ElementUnitary,
-    ModeState,
-    apply_absorber,
-    apply_element,
-    beam_splitter,
-    detection_probabilities,
-    mirror,
-    phase_plate,
-    rotation,
-    sample_outcome,
-    sample_outcomes,
+from ifmsim.photon_mz import (
+    ARM_LOWER,
+    ARM_UPPER,
+    OUTCOME_ABSORBED,
+    OUTCOME_DARK,
+    OUTCOME_LIGHT,
+    SPLITTER,
+    EvSetup,
+    ev_outcome_distribution,
+    run_ev_trials,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def random_state(rng: np.random.Generator, n_modes: int) -> ModeState:
-    amps = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-    amps /= np.linalg.norm(amps)
-    return ModeState({f"m{i}": complex(a) for i, a in enumerate(amps)})
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+UPPER_IN = np.array([1.0, 0.0], dtype=np.complex128)
 
 
 class TestBeamSplitter:
-    def test_full_transmission_is_identity(self):
-        el = beam_splitter(1.0)
-        np.testing.assert_allclose(el.matrix, np.eye(2), atol=1e-15)
-
-    def test_full_reflection_is_i_swap(self):
-        el = beam_splitter(0.0)
-        np.testing.assert_allclose(el.matrix, np.array([[0, 1j], [1j, 0]]), atol=1e-15)
-
     def test_two_balanced_splitters_concentrate_output(self):
         """Two 50/50 splitters in sequence route a single input entirely to one port."""
-        state = ModeState({"a": 1.0, "b": 0.0})
-        bs = beam_splitter(0.5)
-        state = apply_element(apply_element(state, bs), bs)
-        probs = detection_probabilities(state)
-        assert probs["b"] == pytest.approx(1.0, abs=1e-12)
-        assert probs["a"] == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("t", [-0.1, 1.1, 2.0])
-    def test_out_of_range_transmission_rejected(self, t):
-        with pytest.raises(ValueError):
-            beam_splitter(t)
+        out = SPLITTER @ (SPLITTER @ UPPER_IN)
+        assert abs(out[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(out[0]) ** 2 == pytest.approx(0.0, abs=1e-12)
 
     def test_constructed_elements_are_unitary(self):
+        """Splitters, mirrors and any phase plate lose no norm with empty arms."""
         rng = np.random.default_rng(11)
         for _ in range(200):
-            el = beam_splitter(float(rng.random()))
-            defect = np.max(np.abs(el.matrix.conj().T @ el.matrix - np.eye(2)))
-            assert defect < 1e-12
-
-    def test_nonunitary_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            ElementUnitary(("a", "b"), np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-    def test_duplicate_modes_rejected(self):
-        with pytest.raises(ValueError):
-            ElementUnitary(("a", "a"), np.eye(2))
+            phase = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+            dist = ev_outcome_distribution(EvSetup(arm_phase=phase))
+            assert dist.p_absorbed == 0.0
+            assert abs(dist.p_light_detector + dist.p_dark_detector - 1.0) < 1e-12
 
 
 class TestApplyElement:
-    def test_identity_leaves_state_unchanged(self):
-        state = ModeState({"a": 0.6, "b": 0.8j})
-        out = apply_element(state, beam_splitter(1.0))
-        assert out.amplitudes == state.amplitudes
-
     def test_balanced_splitter_action(self):
-        state = ModeState({"a": 1.0, "b": 0.0})
-        out = apply_element(state, beam_splitter(0.5))
-        assert out.amplitudes["a"] == pytest.approx(INV_SQRT2, abs=1e-15)
-        assert out.amplitudes["b"] == pytest.approx(1j * INV_SQRT2, abs=1e-15)
-
-    def test_unknown_mode_is_structural_error(self):
-        state = ModeState({"a": 1.0})
-        with pytest.raises(KeyError):
-            apply_element(state, beam_splitter(0.5, ("a", "missing")))
-
-    def test_untouched_modes_preserved(self):
-        state = ModeState({"a": 0.5, "b": 0.5, "c": complex(0.5, 0.5)})
-        out = apply_element(state, beam_splitter(0.5, ("a", "b")))
-        assert out.amplitudes["c"] == complex(0.5, 0.5)
-
-    def test_norm_conserved_over_random_states(self):
-        """Unitary application preserves total probability on 1000+ random states."""
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            n = int(rng.integers(1, 4))
-            state = random_state(rng, n)
-            el = ElementUnitary(tuple(f"m{i}" for i in range(n)), random_unitary(rng, n))
-            out = apply_element(state, el)
-            assert abs(out.norm() - state.norm()) < 1e-12
+        out = SPLITTER @ UPPER_IN
+        assert out[0] == pytest.approx(INV_SQRT2, abs=1e-15)
+        assert out[1] == pytest.approx(1j * INV_SQRT2, abs=1e-15)
 
 
 class TestAbsorber:
     def test_balanced_absorption(self):
-        state = ModeState({"a": INV_SQRT2, "b": 1j * INV_SQRT2})
-        out, p = apply_absorber(state, Absorber("a"))
-        assert p == pytest.approx(0.5, abs=1e-12)
-        assert out.amplitudes["a"] == 0.0
-        assert out.amplitudes["b"] == 1j * INV_SQRT2
-
-    def test_zero_amplitude_mode(self):
-        state = ModeState({"a": 1.0, "b": 0.0})
-        out, p = apply_absorber(state, Absorber("b"))
-        assert p == 0.0
-        assert out.amplitudes == state.amplitudes
+        for arm in (ARM_UPPER, ARM_LOWER):
+            dist = ev_outcome_distribution(EvSetup(object_present=True, object_arm=arm))
+            assert dist.p_absorbed == pytest.approx(0.5, abs=1e-12)
 
     def test_absorb_after_full_transmission(self):
         """A mode fully emptied by two balanced splitters absorbs nothing."""
-        state = ModeState({"a": 1.0, "b": 0.0})
-        bs = beam_splitter(0.5)
-        state = apply_element(apply_element(state, bs), bs)
-        _, p = apply_absorber(state, Absorber("a"))
-        assert p < 1e-12
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(KeyError):
-            apply_absorber(ModeState({"a": 1.0}), Absorber("zz"))
-
-    def test_norm_bookkeeping_over_random_states(self):
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            n = int(rng.integers(1, 5))
-            state = random_state(rng, n)
-            mode = f"m{int(rng.integers(0, n))}"
-            out, p = apply_absorber(state, Absorber(mode))
-            assert abs(out.norm() + p - state.norm()) < 1e-12
+        out = SPLITTER @ (SPLITTER @ UPPER_IN)
+        assert abs(out[0]) ** 2 < 1e-12
 
 
 class TestDetectionProbabilities:
-    def test_single_mode(self):
-        assert detection_probabilities(ModeState({"a": 1.0})) == {"a": 1.0}
-
     def test_balanced(self):
-        probs = detection_probabilities(ModeState({"a": INV_SQRT2, "b": 1j * INV_SQRT2}))
-        assert probs["a"] == pytest.approx(0.5, abs=1e-15)
-        assert probs["b"] == pytest.approx(0.5, abs=1e-15)
+        """A quarter-turn phase plate splits an empty interferometer 50/50."""
+        dist = ev_outcome_distribution(EvSetup(arm_phase=np.pi / 2))
+        assert dist.p_light_detector == pytest.approx(0.5, abs=1e-15)
+        assert dist.p_dark_detector == pytest.approx(0.5, abs=1e-15)
 
     def test_post_absorber_probabilities(self):
-        # By hand: absorbing "a" from (1/sqrt2, i/sqrt2) leaves (0, i/sqrt2),
-        # so detection sees {a: 0, b: 0.5}.
-        state = ModeState({"a": INV_SQRT2, "b": 1j * INV_SQRT2})
-        state, _ = apply_absorber(state, Absorber("a"))
-        probs = detection_probabilities(state)
-        assert probs["a"] == 0.0
-        assert probs["b"] == pytest.approx(0.5, abs=1e-15)
+        # By hand: the object removes one arm's 1/sqrt2 amplitude, and the
+        # survivor is split evenly by the second splitter: {1/4, 1/4}.
+        for arm in (ARM_UPPER, ARM_LOWER):
+            dist = ev_outcome_distribution(EvSetup(object_present=True, object_arm=arm))
+            assert dist.p_light_detector == pytest.approx(0.25, abs=1e-15)
+            assert dist.p_dark_detector == pytest.approx(0.25, abs=1e-15)
 
 
 class TestSampling:
     def test_certain_outcome(self):
         rng = np.random.default_rng(0)
-        state = ModeState({"a": 1.0})
-        assert all(sample_outcome(state, rng) == "a" for _ in range(100))
+        counts = run_ev_trials(EvSetup(), 100, rng)
+        assert counts == {OUTCOME_LIGHT: 100, OUTCOME_DARK: 0, OUTCOME_ABSORBED: 0}
 
     def test_deterministic_for_fixed_seed(self):
-        state = ModeState({"a": INV_SQRT2, "b": 1j * INV_SQRT2})
-        rng1 = np.random.default_rng(5)
-        rng2 = np.random.default_rng(5)
-        seq1 = [sample_outcome(state, rng1) for _ in range(20)]
-        seq2 = [sample_outcome(state, rng2) for _ in range(20)]
+        setup = EvSetup(object_present=True, object_arm=ARM_LOWER, arm_phase=0.3)
+        seq1 = [run_ev_trials(setup, 20, np.random.default_rng(5)) for _ in range(3)]
+        seq2 = [run_ev_trials(setup, 20, np.random.default_rng(5)) for _ in range(3)]
         assert seq1 == seq2
 
     def test_balanced_frequency(self):
-        """1e5 draws of a 50/50 state land within 0.5 +/- 0.01."""
+        """1e5 draws of a 50/50 setup land within 0.5 +/- 0.01."""
         rng = np.random.default_rng(99)
-        state = ModeState({"a": INV_SQRT2, "b": 1j * INV_SQRT2})
-        counts = sample_outcomes(state, 100_000, rng)
-        assert abs(counts["a"] / 100_000 - 0.5) < 0.01
+        counts = run_ev_trials(EvSetup(arm_phase=np.pi / 2), 100_000, rng)
+        assert abs(counts[OUTCOME_LIGHT] / 100_000 - 0.5) < 0.01
+        assert counts[OUTCOME_ABSORBED] == 0
 
     def test_absorbed_outcome_from_norm_deficit(self):
-        state, _ = apply_absorber(
-            ModeState({"a": INV_SQRT2, "b": 1j * INV_SQRT2}), Absorber("a")
-        )
         rng = np.random.default_rng(4)
-        counts = sample_outcomes(state, 50_000, rng)
-        assert counts[ABSORBED] + counts["a"] + counts["b"] == 50_000
-        assert abs(counts[ABSORBED] / 50_000 - 0.5) < 0.01
-        assert counts["a"] == 0
-
-    def test_overfull_state_rejected(self):
-        state = ModeState({"a": 1.0, "b": 0.0})
-        state.amplitudes["b"] = 0.5  # corrupt past construction-time check
-        with pytest.raises(ValueError):
-            sample_outcome(state, np.random.default_rng(0))
+        counts = run_ev_trials(EvSetup(object_present=True), 50_000, rng)
+        assert sum(counts.values()) == 50_000
+        assert abs(counts[OUTCOME_ABSORBED] / 50_000 - 0.5) < 0.01
 
     def test_empirical_matches_analytic_within_4_sigma(self):
-        """1e6 seeded batch draws agree with detection_probabilities per mode."""
+        """1e6 seeded draws agree with ev_outcome_distribution per outcome."""
         rng = np.random.default_rng(2024)
-        state = ModeState({"a": 0.5, "b": 0.5j, "c": complex(0.5, 0.5)})
+        setup = EvSetup(object_present=True, object_arm=ARM_UPPER, arm_phase=0.9)
         n = 1_000_000
-        counts = sample_outcomes(state, n, rng)
-        for mode, p in detection_probabilities(state).items():
+        counts = run_ev_trials(setup, n, rng)
+        dist = ev_outcome_distribution(setup)
+        for label, p in (
+            (OUTCOME_LIGHT, dist.p_light_detector),
+            (OUTCOME_DARK, dist.p_dark_detector),
+            (OUTCOME_ABSORBED, dist.p_absorbed),
+        ):
             sigma = np.sqrt(p * (1 - p) / n)
-            assert abs(counts[mode] / n - p) < 4 * sigma
-
-
-class TestStateInvariants:
-    def test_overfull_construction_rejected(self):
-        with pytest.raises(ValueError):
-            ModeState({"a": 1.0, "b": 1.0})
-
-    def test_helper_elements_are_unitary(self):
-        for el in (mirror("a"), phase_plate("a", 0.7), rotation(0.3, ("a", "b"))):
-            n = len(el.modes)
-            defect = np.max(np.abs(el.matrix.conj().T @ el.matrix - np.eye(n)))
-            assert defect < 1e-12
+            assert abs(counts[label] / n - p) < 4 * sigma

@@ -12,7 +12,6 @@ from ifmsim.fields import (
     BeamGeometry,
     BracketError,
     PointCharge,
-    PointMass,
     ProtocolError,
     SingularityError,
     StepLimitError,
@@ -76,10 +75,6 @@ class TestEvalFields:
         np.testing.assert_allclose(B, [0, 0, 2.0])
         assert not E.any()
 
-    def test_point_mass_has_no_em_field(self):
-        E, B = eval_fields(PointMass(M=1e3, position=[0, 0, 0]), [1, 0, 0])
-        assert not E.any() and not B.any()
-
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             UniformBRegion(B=[0, 0, 1.0], box_min=[0, 0, 0], box_max=[0, 1, 1])
@@ -119,7 +114,6 @@ class TestLorentzForce:
             PointCharge(q=5e-6, position=[0.0, 0.2, 0.0]),
             UniformBRegion(B=[0.3, -0.2, 1.0], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
             UniformERegion(E=[1e-5, 2e-5, -3e-6], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
-            PointMass(M=10.0, position=[0.0, 0.2, 0.0]),
         ]
         for src in sources:
             accel = _acceleration_fn(particle, src, CGS)
@@ -334,6 +328,16 @@ class TestCriticalDistance:
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         with pytest.raises(BracketError):
             critical_distance(particle, src, geom, 1.0, (0.10, 0.40), 1e-11)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_too_few_monotonicity_samples_rejected(self, samples, trajectory_calls):
+        src = PointCharge(q=5e-6, position=[0, 1, 0])
+        with pytest.raises(ValueError, match="monotonicity_samples"):
+            critical_distance(
+                beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), 1e-11,
+                monotonicity_samples=samples,
+            )
+        assert trajectory_calls == []
 
     def test_non_monotone_profile_rejected(self):
         # A rigid field box carried across the beam line: deflection rises and

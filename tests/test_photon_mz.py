@@ -1,11 +1,16 @@
 """Bomb-test statistics: exact splits, Monte Carlo agreement, N-cycle variant."""
 
+import time
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
+from ifmsim.cli import main
 from ifmsim.photon_mz import (
     ARM_LOWER,
     ARM_UPPER,
+    SPLITTER,
     EvDistribution,
     EvSetup,
     ZenoDistribution,
@@ -29,6 +34,20 @@ def zeno_oracle(n_cycles: int, object_present: bool) -> float:
     for _ in range(n_cycles):
         state = step @ state
     return float(abs(state[0]) ** 2)
+
+
+def zeno_decimal_oracle(n_cycles: int) -> float:
+    """cos^(2N)(pi/2N) from a 40-digit Taylor series, for N where float loops drift."""
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x2 = (pi / (2 * n_cycles)) ** 2
+        term, cos_x, k = Decimal(1), Decimal(1), 0
+        while abs(term) > Decimal(10) ** -45:
+            k += 2
+            term = -term * x2 / (k * (k - 1))
+            cos_x += term
+        return float(cos_x ** (2 * n_cycles))
 
 
 class TestAnalyticDistribution:
@@ -68,6 +87,15 @@ class TestAnalyticDistribution:
     def test_invalid_arm_rejected(self):
         with pytest.raises(ValueError):
             EvSetup(object_arm="sideways")
+
+    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="arm_phase"):
+            EvSetup(arm_phase=phase)
+
+    def test_splitter_is_unitary(self):
+        defect = np.abs(SPLITTER.conj().T @ SPLITTER - np.eye(2))
+        assert defect.max() < 1e-15
 
     def test_bad_distribution_rejected(self):
         with pytest.raises(ValueError):
@@ -109,6 +137,21 @@ class TestMonteCarlo:
                 sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
                 assert abs(counts[label] / n - p) < 4 * sigma
 
+    @pytest.mark.parametrize(
+        "setup, seed, n, expected",
+        [
+            (EvSetup(True, ARM_UPPER, 0.0), 11, 100_000,
+             {"light": 25120, "dark": 24939, "absorbed": 49941}),
+            (EvSetup(False, ARM_UPPER, 1.3), 22, 50_000,
+             {"light": 31721, "dark": 18279, "absorbed": 0}),
+            (EvSetup(True, ARM_LOWER, 2.5), 33, 77_777,
+             {"light": 19515, "dark": 19378, "absorbed": 38884}),
+        ],
+    )
+    def test_seeded_counts_match_recorded(self, setup, seed, n, expected):
+        """Counts recorded at release 0.1.0; seeded payloads must not change."""
+        assert run_ev_trials(setup, n, np.random.default_rng(seed)) == expected
+
     def test_reproducible_counts(self):
         setup = EvSetup(object_present=True)
         c1 = run_ev_trials(setup, 10_000, np.random.default_rng(55))
@@ -138,6 +181,24 @@ class TestZenoVariant:
         dist = zeno_ifm_distribution(1000, object_present=True)
         assert dist.p_success_detect >= 0.997
         assert dist.p_success_detect == pytest.approx(zeno_oracle(1000, True), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2000, 10_000, 20_000])
+    def test_large_cycle_counts_match_decimal_oracle(self, n):
+        dist = zeno_ifm_distribution(n, object_present=True)
+        assert dist.p_success_detect == pytest.approx(zeno_decimal_oracle(n), rel=1e-12, abs=0)
+        assert dist.p_absorbed == 1.0 - dist.p_success_detect
+        assert dist.p_inconclusive == 0.0
+
+    def test_huge_cycle_count_is_constant_time(self):
+        start = time.perf_counter()
+        dist = zeno_ifm_distribution(10**9, object_present=True)
+        assert time.perf_counter() - start < 0.5
+        # cos^(2N)(pi/2N) = exp(-pi^2/(4N)) up to O(1/N^3) in the exponent.
+        assert dist.p_success_detect == pytest.approx(np.exp(-np.pi**2 / 4e9), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [10_000, 20_000, 10**9])
+    def test_cli_zeno_large_cycle_counts_exit_0(self, n):
+        assert main(["zeno", "--cycles", str(n), "--seed", "1"]) == 0
 
     def test_no_object_never_absorbs(self):
         dist = zeno_ifm_distribution(17, object_present=False)
