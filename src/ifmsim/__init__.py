@@ -24,6 +24,7 @@ from .fields import (
     UniformBRegion,
     UniformERegion,
     closest_approach_point,
+    coulomb_deflection,
     critical_distance,
     deflection_at_distance,
     eval_fields,

@@ -181,10 +181,27 @@ def _check_block(params, key, errors, path, checker):
     checker(value, errors, f"{path}.{key}")
 
 
+def _check_built(build, block, errors, path, checked_from):
+    """Build the domain object from a block that passed its type checks.
+
+    The object's own constructor holds the remaining rules (probabilities
+    summing to 1, the speed bound, positive box extent); its ValueError is
+    reported at ``path``.
+    """
+    if len(errors) > checked_from:
+        return
+    try:
+        build(block)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+
+
 def _check_grating(block, errors, path):
+    checked_from = len(errors)
     for key in ("p_minus1", "p_0", "p_plus1"):
         _check_number(block, key, errors, path, required=True, minimum=0.0, maximum=1.0)
     _check_number(block, "loss", errors, path, minimum=0.0, maximum=1.0)
+    _check_built(_grating_from, block, errors, path, checked_from)
 
 
 def _check_gratings(block, errors, path):
@@ -193,10 +210,12 @@ def _check_gratings(block, errors, path):
 
 
 def _check_particle(block, errors, path):
+    checked_from = len(errors)
     _check_number(block, "q", errors, path, required=True)
     _check_number(block, "m", errors, path, required=True, exclusive_min=0.0)
     _check_vector(block, "r0", errors, path, required=True)
     _check_vector(block, "v0", errors, path, required=True)
+    _check_built(_particle_from, block, errors, path, checked_from)
 
 
 def _check_geometry(block, errors, path):
@@ -262,6 +281,7 @@ def _validate_field_scan_electric(params, errors, path):
 
 
 def _validate_field_scan_magnetic(params, errors, path):
+    checked_from = len(errors)
     _check_vector(params, "field_vector", errors, path, required=True)
     _check_vector(params, "box_half_widths", errors, path)
     _check_number(params, "enclosed_flux", errors, path)
@@ -270,6 +290,7 @@ def _validate_field_scan_magnetic(params, errors, path):
     _check_block(params, "scan", errors, path, _check_scan)
     _check_block(params, "cages", errors, path, _check_cages)
     _check_block(params, "gratings", errors, path, _check_gratings)
+    _check_built(_field_region_from, params, errors, f"{path}.box_half_widths", checked_from)
 
 
 def _validate_gravity(params, errors, path):
@@ -336,7 +357,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON configuration document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
         raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
     return config_from_dict(doc)
 
@@ -352,6 +373,18 @@ def emit_config(config: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 # Scenario runners
 # ---------------------------------------------------------------------------
+
+
+def _particle_from(block: dict) -> TestParticle:
+    return TestParticle(q=float(block["q"]), m=float(block["m"]), r0=block["r0"], v0=block["v0"])
+
+
+def _field_region_from(params: dict) -> UniformBRegion:
+    """The magnetic scan's field box, centred on the geometry's source anchor."""
+    geom = {**_SCAN_DEFAULTS["geometry"], **params.get("geometry", {})}
+    half = np.asarray(params.get("box_half_widths", _SCAN_DEFAULTS["box_half_widths"]), float)
+    anchor = np.asarray(geom["source_anchor"], float)
+    return UniformBRegion(B=params["field_vector"], box_min=anchor - half, box_max=anchor + half)
 
 
 def _grating_from(block: dict | None) -> GratingSpec:
@@ -466,7 +499,7 @@ def _run_field_scan(config: ScenarioConfig, magnetic: bool) -> tuple[dict, list[
     scan = dict(p.get("scan", {}))
     gblocks = p.get("gratings", {})
 
-    particle = TestParticle(q=float(part["q"]), m=float(part["m"]), r0=part["r0"], v0=part["v0"])
+    particle = _particle_from(part)
     geometry = BeamGeometry(
         exit_plane_x=float(geom["exit_plane_x"]),
         source_anchor=geom["source_anchor"],
@@ -478,11 +511,7 @@ def _run_field_scan(config: ScenarioConfig, magnetic: bool) -> tuple[dict, list[
     model = InterferometerModel(g1=g1, g2=g2, g3=g3)
 
     if magnetic:
-        half = np.asarray(p.get("box_half_widths", _SCAN_DEFAULTS["box_half_widths"]), float)
-        anchor = np.asarray(geom["source_anchor"], float)
-        template = UniformBRegion(
-            B=p["field_vector"], box_min=anchor - half, box_max=anchor + half
-        )
+        template = _field_region_from(p)
         default_positions = _SCAN_DEFAULTS["magnetic_positions"]
         default_phi_c = _SCAN_DEFAULTS["magnetic_phi_c"]
         enclosed_flux = float(p.get("enclosed_flux", 0.0))
@@ -531,7 +560,9 @@ def _run_field_scan(config: ScenarioConfig, magnetic: bool) -> tuple[dict, list[
     }
     if magnetic:
         resolved["field_vector"] = list(map(float, p["field_vector"]))
-        resolved["box_half_widths"] = [float(h) for h in half]
+        resolved["box_half_widths"] = [
+            float(h) for h in p.get("box_half_widths", _SCAN_DEFAULTS["box_half_widths"])
+        ]
         resolved["enclosed_flux"] = enclosed_flux
     else:
         resolved["source_charge"] = float(p["source_charge"])
@@ -778,7 +809,7 @@ def _config_from_namespace(ns: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError([f"config: cannot read {ns.config}: {exc}"]) from exc
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
             raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
         if not isinstance(doc, dict):
             raise ConfigError(["config: expected a JSON object at the top level"])

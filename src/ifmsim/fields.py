@@ -10,9 +10,12 @@ suite pins the identity.
 Trajectories are integrated with classical fixed-step RK4 until the particle
 crosses a configured exit plane (the second-grating plane) or leaves a
 bounding box; the deflection angle is the angle between the initial and final
-velocity.  Brent's root-finder, seeded with the bracketing pair from a coarse
-monotonicity scan, inverts deflection-vs-distance to the critical source
-distance for a given threshold angle.
+velocity.  A point charge's deflection also has a closed form, the exact
+Kepler/Rutherford orbit (:func:`coulomb_deflection`).  Brent's root-finder,
+seeded with the bracketing pair from a coarse monotonicity scan, inverts
+deflection-vs-distance to the critical source distance for a given threshold
+angle; for a point charge it inverts the exact orbit, so the critical
+distance is exact to its tolerance, while the protocol's scan rows stay RK4.
 """
 
 from __future__ import annotations
@@ -117,6 +120,8 @@ MAX_SPEED_FRACTION = 0.01
 
 # Machine epsilon; the root finder's relative tolerance never drops below 8x it.
 _EPS = float(np.finfo(float).eps)
+
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,6 +391,109 @@ def integrate_trajectory(
     )
 
 
+def _first_root(a: float, b: float, c: float) -> float:
+    """Smallest theta in (0, 2*pi] with a*cos(theta) + b*sin(theta) = c; inf if none."""
+    amp = math.hypot(a, b)
+    if amp == 0.0 or abs(c) > amp:
+        return math.inf
+    base = math.atan2(b, a)
+    half = math.acos(c / amp)
+    return min((base + half) % _TWO_PI or _TWO_PI, (base - half) % _TWO_PI or _TWO_PI)
+
+
+def coulomb_deflection(
+    particle: TestParticle,
+    charge: PointCharge,
+    exit_plane_x: float,
+    *,
+    singularity_cutoff: float = 1e-6,
+) -> float:
+    """Deflection angle at the exit plane on the exact Coulomb orbit, in O(1).
+
+    The orbit is the Kepler/Rutherford conic (Goldstein, *Classical
+    Mechanics*, §3.10).  With u = 1/r about the charge and theta the angle
+    swept from the launch direction r0_hat in the sense of motion, Binet's
+    equation gives u(theta) = mu/h^2 + A cos(theta) + B sin(theta), where
+    mu = -q Q / m (positive when attractive), h = |r0 x v0|, A = 1/r0 - mu/h^2
+    and B = -(dr/dt)_0 / h; any 3-D launch and either charge sign works.  The
+    particle reaches the plane at the first theta_1 > 0, on the branch where
+    u > 0, that solves a cos(theta) + b sin(theta) = c.  Its velocity has
+    then changed by (mu/h) h_hat x (r_hat(theta_1) - r0_hat), evaluated in
+    half-angle form so that a 1e-3 rad deflection keeps full precision.
+
+    Raises what :func:`integrate_trajectory` raises for the same orbit:
+    :class:`SingularityError` when the closest approach before the plane is
+    below ``singularity_cutoff`` (a head-on launch, h = 0, included),
+    :class:`StepLimitError` at once when the orbit turns back before reaching
+    the plane, and ``ValueError`` unless the particle starts before the plane
+    moving toward it.
+    """
+    x0 = float(particle.r0[0])
+    vx, vy, vz = (float(c) for c in particle.v0)
+    direction = 1.0 if exit_plane_x >= x0 else -1.0
+    if vx * direction <= 0.0 or (exit_plane_x - x0) * direction <= 0.0:
+        raise ValueError("particle must start before the exit plane, moving toward it")
+    sx = float(charge.position[0])
+    rx, ry, rz = (float(a) - float(b) for a, b in zip(particle.r0, charge.position))
+    r0 = math.hypot(rx, ry, rz)
+    if r0 < singularity_cutoff:  # also keeps r0 = 0 out of the divisions below
+        raise SingularityError(f"trajectory within {singularity_cutoff} cm of the point source")
+    mu = -particle.q * charge.q / particle.m
+    hx, hy, hz = ry * vz - rz * vy, rz * vx - rx * vz, rx * vy - ry * vx
+    h = math.hypot(hx, hy, hz)
+    radial_speed = (rx * vx + ry * vy + rz * vz) / r0
+
+    if h == 0.0:
+        # Radial line through the charge: the velocity keeps its direction, so
+        # the particle leaves undeflected unless it falls in or turns back.
+        rho_plane = (exit_plane_x - sx) * r0 / rx
+        energy = 0.5 * radial_speed * radial_speed - mu / r0
+        if radial_speed < 0.0:
+            turn = -mu / energy if mu < 0.0 else 0.0
+            reached = rho_plane > turn
+            closest = rho_plane if reached else turn
+        else:
+            reached = energy >= 0.0 or -mu / energy > rho_plane
+            closest = r0 if reached else 0.0
+    else:
+        p = mu / (h * h)
+        A = 1.0 / r0 - p
+        B = -radial_speed / h
+        # r0_hat and t0_hat = h_hat x r0_hat span the orbital plane.
+        ux, uy, uz = rx / r0, ry / r0, rz / r0
+        hr = h * r0
+        tx, ty, tz = (hy * rz - hz * ry) / hr, (hz * rx - hx * rz) / hr, (hx * ry - hy * rx) / hr
+        # x(theta) = X  <=>  u(theta) (X - sx) = cos(theta) ux + sin(theta) tx.
+        offset = exit_plane_x - sx
+        theta_exit = _first_root(
+            (x0 - exit_plane_x) / r0 + offset * p, tx - offset * B, offset * p
+        )
+        theta_escape = _first_root(A, B, -p)  # where u reaches 0; inf on a bound orbit
+        reached = theta_exit < theta_escape
+        theta_end = theta_exit if reached else min(theta_escape, _TWO_PI)
+        # u = p + |(A, B)| cos(theta - periapsis) peaks at the periapsis.
+        if math.atan2(B, A) % _TWO_PI <= theta_end:
+            u_max = p + math.hypot(A, B)
+        else:
+            u_max = max(1.0 / r0, p + A * math.cos(theta_end) + B * math.sin(theta_end))
+        closest = 1.0 / u_max
+    if closest < singularity_cutoff:
+        raise SingularityError(f"trajectory within {singularity_cutoff} cm of the point source")
+    if not reached:
+        raise StepLimitError("exit plane not reached: the orbit turns back before it")
+    if h == 0.0:
+        return 0.0
+
+    # dv = (mu/h) (t_hat(theta) - t0_hat)
+    #    = -(2 mu/h) sin(theta/2) (cos(theta/2) r0_hat + sin(theta/2) t0_hat).
+    s, co = math.sin(0.5 * theta_exit), math.cos(0.5 * theta_exit)
+    k = -2.0 * mu / h * s
+    dvx, dvy, dvz = k * (co * ux + s * tx), k * (co * uy + s * ty), k * (co * uz + s * tz)
+    cross = math.hypot(vy * dvz - vz * dvy, vz * dvx - vx * dvz, vx * dvy - vy * dvx)
+    dot = vx * vx + vy * vy + vz * vz + vx * dvx + vy * dvy + vz * dvz
+    return math.atan2(cross, dot)
+
+
 @dataclass(frozen=True, eq=False)
 class BeamGeometry:
     """Geometry tying a nominal beam path to the source-approach line.
@@ -445,13 +553,18 @@ def deflection_at_distance(
     dt: float,
     *,
     constants: PhysicalConstants = CGS,
-    **integrate_kwargs,
 ) -> float:
-    """Deflection angle with the source placed ``distance`` cm from the beam."""
+    """Deflection angle with the source placed ``distance`` cm from the beam.
+
+    A point charge takes the exact orbit (:func:`coulomb_deflection`); box
+    sources are integrated with RK4 at step ``dt``.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     source = with_position(source_template, geometry.source_position(distance))
-    result = integrate_trajectory(
-        particle, source, geometry.exit_plane_x, dt, constants=constants, **integrate_kwargs
-    )
+    if isinstance(source, PointCharge):
+        return coulomb_deflection(particle, source, geometry.exit_plane_x)
+    result = integrate_trajectory(particle, source, geometry.exit_plane_x, dt, constants=constants)
     return result.deflection_angle
 
 
@@ -466,7 +579,6 @@ def critical_distance(
     constants: PhysicalConstants = CGS,
     rel_tol: float = 1e-6,
     monotonicity_samples: int = 5,
-    **integrate_kwargs,
 ) -> float:
     """Source distance at which the deflection angle equals ``phi_c``.
 
@@ -479,8 +591,11 @@ def critical_distance(
     and bisection while always keeping the root bracketed.  It stops once the
     half-bracket is at most 0.25 * ``rel_tol`` * |b|, where b is the current
     estimate, so the returned distance lies within 0.5 * ``rel_tol`` * d of
-    the root d (``rel_tol`` is floored at 8 machine epsilons).  If ``phi_c`` equals a sample's deflection exactly, that
-    sample's distance is returned without further integration.
+    the root d (``rel_tol`` is floored at 8 machine epsilons).  If ``phi_c``
+    equals a sample's deflection exactly, that sample's distance is returned
+    without further evaluation.  Each deflection comes from
+    :func:`deflection_at_distance`: the exact orbit for a point charge, RK4
+    for a box source.
     """
     lo, hi = bracket
     if not 0 < lo < hi:
@@ -490,7 +605,7 @@ def critical_distance(
 
     def deflection(d: float) -> float:
         return deflection_at_distance(
-            particle, source_template, geometry, d, dt, constants=constants, **integrate_kwargs
+            particle, source_template, geometry, d, dt, constants=constants
         )
 
     samples = [float(d) for d in np.linspace(lo, hi, monotonicity_samples)]

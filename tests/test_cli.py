@@ -1,6 +1,7 @@
 """Configuration validation, record emission, determinism, and exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -330,3 +331,39 @@ class TestMainExitCodes:
         cfg.write_text(json.dumps({"scenario": scenario, "seed": 1, "parameters": parameters}))
         assert main(["run", str(cfg)]) == 2
         assert f"{field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, parameters, field",
+        [
+            ("field_scan_electric",
+             {"source_charge": 5e-6,
+              "particle": {"q": -4.8e-10, "m": 9.11e-28, "r0": [-0.5, 0.0, 0.0],
+                           "v0": [3.0e8, 0.0, 0.0]}},
+             "parameters.particle"),
+            ("field_scan_magnetic",
+             {"field_vector": [0.0, 0.0, 1e-3], "box_half_widths": [0.2, 0.0, 0.2]},
+             "parameters.box_half_widths"),
+            ("matter_null",
+             {"g2": {"p_minus1": 0.5, "p_0": 0.5, "p_plus1": 0.5}},
+             "parameters.g2"),
+        ],
+    )
+    def test_domain_rules_exit_2(self, scenario, parameters, field, tmp_path, capsys):
+        # |v0| at 0.01c, a flat field box and probabilities summing to 1.5 pass
+        # the type checks; the domain objects reject them before any compute.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "seed": 1, "parameters": parameters}))
+        assert main(["run", str(cfg)]) == 2
+        assert f"{field}: " in capsys.readouterr().err
+
+    def test_overlong_int_literal_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"scenario": "ev_bomb", "seed": 1, '
+            '"parameters": {"object_present": true, "arm_phase": 1' + "0" * 5000 + "}}"
+        )
+        assert main(["run", str(cfg)]) == 2
+        # Pythons with an int-string digit limit refuse the literal while parsing.
+        expected = ("config: invalid JSON" if hasattr(sys, "get_int_max_str_digits")
+                    else "parameters.arm_phase: ")
+        assert expected in capsys.readouterr().err

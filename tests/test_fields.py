@@ -27,6 +27,7 @@ from ifmsim.fields import (
     sphere_radius_for_deflection,
     with_position,
     _acceleration_fn,
+    coulomb_deflection,
 )
 
 ELECTRON_Q = -4.80e-10  # statC
@@ -239,17 +240,137 @@ class TestIntegrateTrajectory:
 
 
 @pytest.fixture
-def trajectory_calls(monkeypatch):
-    """List that gains one entry per fields.integrate_trajectory call."""
-    calls = []
-    original = ifmsim.fields.integrate_trajectory
+def count_calls(monkeypatch):
+    """count_calls(name) -> list that gains one entry per ``ifmsim.fields.<name>`` call."""
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def patch(name):
+        calls = []
+        original = getattr(ifmsim.fields, name)
 
-    monkeypatch.setattr(ifmsim.fields, "integrate_trajectory", counting)
-    return calls
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ifmsim.fields, name, counting)
+        return calls
+
+    return patch
+
+
+def hyperbola_deflection(source_charge: float, distance: float) -> float:
+    """Deflection of the default beam by a source at (0, distance), from the 2-D conic.
+
+    The electron starts at (-0.5, 0) moving along +x and leaves at x = 0.5.
+    About the source the attractive orbit is r = (h^2/mu) / (1 + e . r_hat),
+    with eccentricity vector e = (v x h)/mu - r_hat, so the exit angle phi
+    solves (h^2/mu - 0.5 e_x) cos(phi) - 0.5 e_y sin(phi) = 0.5.  The velocity
+    change along the orbit is (mu/h) z_hat x (r_hat(phi) - r_hat(phi0)).
+    """
+    mu = -ELECTRON_Q * source_charge / ELECTRON_M
+    x0, y0 = -0.5, -distance
+    r0 = math.hypot(x0, y0)
+    h = -y0 * BEAM_SPEED
+    e_x, e_y = -x0 / r0, -BEAM_SPEED * h / mu - y0 / r0
+    p, q = h * h / mu - 0.5 * e_x, -0.5 * e_y
+    phi0 = math.atan2(y0, x0)
+    phi1 = None
+    base, spread = math.atan2(q, p), math.acos(0.5 / math.hypot(p, q))
+    for phi in (base + spread, base - spread):
+        cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+        if cos_phi > 0.0 and sin_phi < 0.0 and 1.0 + e_x * cos_phi + e_y * sin_phi > 0.0:
+            phi1 = math.atan2(sin_phi, cos_phi)
+    mean, half = 0.5 * (phi1 + phi0), 0.5 * (phi1 - phi0)
+    dv_x = -2.0 * mu / h * math.cos(mean) * math.sin(half)
+    dv_y = -2.0 * mu / h * math.sin(mean) * math.sin(half)
+    return math.atan2(abs(dv_y), BEAM_SPEED + dv_x)
+
+
+class TestCoulombDeflection:
+    def test_matches_inline_hyperbola(self):
+        rng = np.random.default_rng(55)
+        particle = beam_particle()
+        worst = 0.0
+        for _ in range(2000):
+            q = float(rng.uniform(2.6e-6, 7.8e-6))
+            d = float(rng.uniform(0.1, 0.4))
+            angle = coulomb_deflection(particle, PointCharge(q=q, position=[0, d, 0]), 0.5)
+            worst = max(worst, abs(angle / hyperbola_deflection(q, d) - 1.0))
+        assert worst <= 1e-14
+
+    def test_matches_rk4_on_random_3d_launches(self):
+        """Tilted launches in both directions, attractive and repulsive sources."""
+        rng = np.random.default_rng(31)
+        for k in range(16):
+            sense = -1.0 if k % 4 >= 2 else 1.0
+            heading = np.array([sense, 0.0, 0.0]) + rng.normal(size=3) * 0.05
+            particle = TestParticle(
+                q=ELECTRON_Q, m=ELECTRON_M,
+                r0=[-0.5 * sense, rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)],
+                v0=BEAM_SPEED * rng.uniform(0.8, 1.2) * heading / np.linalg.norm(heading),
+            )
+            around, rho = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 0.4)
+            src = PointCharge(
+                q=(1.0 if k % 2 else -1.0) * rng.uniform(2.6e-6, 7.8e-6),
+                position=[rng.uniform(-0.3, 0.3), rho * math.cos(around), rho * math.sin(around)],
+            )
+            exact = coulomb_deflection(particle, src, 0.5 * sense)
+            rk4 = integrate_trajectory(particle, src, 0.5 * sense, 2.5e-12).deflection_angle
+            assert exact > 1e-4
+            assert abs(exact / rk4 - 1.0) <= 1e-10
+
+    def test_zero_charge_is_exactly_straight(self):
+        src = PointCharge(q=0.0, position=[0.0, 0.3, 0.0])
+        assert coulomb_deflection(beam_particle(), src, 0.5) == 0.0
+
+    @pytest.mark.parametrize(
+        "q, position, cutoff",
+        [
+            (5e-6, [0.0, 1e-4, 0.0], 1e-3),  # near miss
+            (5e-6, [0.0, 0.0, 0.0], 1e-6),  # head-on, h = 0
+            (5e-6, [-0.5, 0.0, 0.0], 1e-6),  # launched at the charge
+        ],
+    )
+    def test_singularity_aborts(self, q, position, cutoff):
+        with pytest.raises(SingularityError):
+            coulomb_deflection(
+                beam_particle(), PointCharge(q=q, position=position), 0.5,
+                singularity_cutoff=cutoff,
+            )
+
+    def test_close_approach_past_the_plane_is_harmless(self):
+        particle = beam_particle()
+        near_miss = PointCharge(q=5e-6, position=[0.8, 1e-4, 0.0])
+        angle = coulomb_deflection(particle, near_miss, 0.5, singularity_cutoff=1e-3)
+        rk4 = integrate_trajectory(particle, near_miss, 0.5, 1e-11, singularity_cutoff=1e-3)
+        assert angle == pytest.approx(rk4.deflection_angle, rel=1e-10)
+        head_on = PointCharge(q=5e-6, position=[1.0, 0.0, 0.0])
+        assert coulomb_deflection(particle, head_on, 0.5) == 0.0
+
+    @pytest.mark.parametrize(
+        "position, q",
+        [([0.0, 0.01, 0.0], -1e-3), ([1.0, 0.0, 0.0], -1e-2)],  # glancing, head-on
+    )
+    def test_orbit_turning_back_raises_step_limit(self, position, q):
+        src = PointCharge(q=q, position=position)
+        with pytest.raises(StepLimitError):
+            coulomb_deflection(beam_particle(), src, 0.5)
+        with pytest.raises(StepLimitError):
+            integrate_trajectory(beam_particle(), src, 0.5, 1e-11, max_steps=20_000)
+
+    @pytest.mark.parametrize(
+        "r0, v0",
+        [([-0.5, 0, 0], [-BEAM_SPEED, 0, 0]), ([0.6, 0, 0], [BEAM_SPEED, 0, 0])],
+    )
+    def test_must_start_before_plane_moving_toward_it(self, r0, v0):
+        particle = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=r0, v0=v0)
+        with pytest.raises(ValueError, match="exit plane"):
+            coulomb_deflection(particle, PointCharge(q=5e-6, position=[0, 0.2, 0]), 0.5)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-11])
+    def test_nonpositive_dt_rejected(self, dt):
+        src = PointCharge(q=5e-6, position=[0, 1, 0])
+        with pytest.raises(ValueError, match="dt"):
+            deflection_at_distance(beam_particle(), src, beam_geometry(), 0.2, dt)
 
 
 class TestCriticalDistance:
@@ -263,11 +384,27 @@ class TestCriticalDistance:
         angle = deflection_at_distance(particle, src, geom, d_c, 1e-11)
         assert angle == pytest.approx(phi_c, rel=1e-4)
 
-    def test_few_trajectories_per_solve(self, trajectory_calls):
+    def test_few_trajectories_per_solve(self, count_calls):
         """5 monotonicity samples plus a handful of Brent steps (bisection took 26)."""
+        evaluations = count_calls("deflection_at_distance")
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         critical_distance(beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), 1e-11)
-        assert len(trajectory_calls) <= 12
+        assert len(evaluations) <= 12
+
+    def test_point_charge_solve_does_not_integrate(self, count_calls):
+        trajectories = count_calls("integrate_trajectory")
+        src = PointCharge(q=5e-6, position=[0, 1, 0])
+        critical_distance(beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), 1e-11)
+        assert trajectories == []
+
+    def test_box_source_solve_still_integrates(self, count_calls):
+        trajectories = count_calls("integrate_trajectory")
+        # The beam crosses the whole box while the source is nearer than its
+        # 0.08 cm half-width, and misses it beyond.
+        src = UniformBRegion(B=[0, 0, 1e-3], box_min=[-0.2, -0.08, -0.2], box_max=[0.2, 0.08, 0.2])
+        d_c = critical_distance(beam_particle(), src, beam_geometry(), 1e-5, (0.02, 0.20), 1e-11)
+        assert d_c == pytest.approx(0.08, rel=1e-3)
+        assert len(trajectories) >= 5
 
     @pytest.mark.parametrize("q", np.linspace(2.6e-6, 7.8e-6, 5))
     def test_within_tolerance_of_tight_reference(self, q):
@@ -279,15 +416,31 @@ class TestCriticalDistance:
         ref = critical_distance(particle, src, geom, 2e-3, (0.10, 0.40), 1e-11, rel_tol=1e-12)
         assert abs(d_c - ref) <= 0.5 * rel_tol * ref
 
-    def test_threshold_at_a_sample_returns_that_sample(self, trajectory_calls):
+    @pytest.mark.parametrize(
+        "q, rk4_solve",
+        [
+            (2.6e-6, 0.1324571052090216),
+            (3.9e-6, 0.19190732174666797),
+            (5.2e-6, 0.24594835068356474),
+            (6.5e-6, 0.2950772664156576),
+            (7.8e-6, 0.3400042765249899),
+        ],
+    )
+    def test_matches_recorded_rk4_solve(self, q, rk4_solve):
+        """Distances solved on RK4 trajectories at dt=1e-11, rel_tol=1e-6."""
+        src = PointCharge(q=q, position=[0, 1, 0])
+        d_c = critical_distance(beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), 1e-11)
+        assert abs(d_c / rk4_solve - 1.0) <= 1e-6
+
+    def test_threshold_at_a_sample_returns_that_sample(self, count_calls):
         particle = beam_particle()
         geom = beam_geometry()
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         sample = float(np.linspace(0.10, 0.40, 5)[1])
         phi_c = deflection_at_distance(particle, src, geom, sample, 1e-11)
-        trajectory_calls.clear()
+        evaluations = count_calls("deflection_at_distance")
         assert critical_distance(particle, src, geom, phi_c, (0.10, 0.40), 1e-11) == sample
-        assert len(trajectory_calls) == 5
+        assert len(evaluations) == 5
 
     def test_deflection_monotone_in_distance_by_direct_scan(self):
         particle = beam_particle()
@@ -330,14 +483,15 @@ class TestCriticalDistance:
             critical_distance(particle, src, geom, 1.0, (0.10, 0.40), 1e-11)
 
     @pytest.mark.parametrize("samples", [-1, 0, 1])
-    def test_too_few_monotonicity_samples_rejected(self, samples, trajectory_calls):
+    def test_too_few_monotonicity_samples_rejected(self, samples, count_calls):
+        evaluations = count_calls("deflection_at_distance")
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         with pytest.raises(ValueError, match="monotonicity_samples"):
             critical_distance(
                 beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), 1e-11,
                 monotonicity_samples=samples,
             )
-        assert trajectory_calls == []
+        assert evaluations == []
 
     def test_non_monotone_profile_rejected(self):
         # A rigid field box carried across the beam line: deflection rises and
