@@ -12,6 +12,11 @@ for scan scenarios).  Re-running an identical configuration reproduces the
 record payload byte for byte; only the metadata block (timestamp, version)
 may differ.
 
+Each scenario is one entry of ``SCENARIO_TABLE``: its parameter spec (keys,
+kinds, ranges, defaults), its subcommand flags, its runner and its summary.
+Validation, the argument parser and the subcommand-to-config mapping all walk
+that table.
+
 Exit codes: 0 on success, 2 for configuration/validation errors, 1 for
 runtime failures.
 """
@@ -19,62 +24,25 @@ runtime failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-import numpy as np
-
-from . import __version__
-from .fields import (
-    BeamGeometry,
-    PointCharge,
-    TestParticle,
-    UniformBRegion,
-    light_deflection,
-    sphere_radius_for_deflection,
-)
-from .matter_mz import (
-    BLOCK_LOWER,
-    BLOCK_UPPER,
-    NO_BLOCKS,
-    GratingSpec,
-    InterferometerModel,
-    PathBlockSet,
-    detector_probability,
-    ifm_efficiency,
-    solve_ideal_offset,
-)
-from .photon_mz import (
-    ARMS,
-    EvSetup,
-    ev_outcome_distribution,
-    run_ev_trials,
-    zeno_ifm_distribution,
-)
-from .protocol import CalibrationSetup, ScanConfig, calibrate, required_trials, run_field_scan
+from . import __version__, runners
+from .photon_mz import ARMS
 from .records import ResultRecord, make_metadata, record_text, scan_table_text
-
-SCENARIOS = (
-    "ev_bomb",
-    "zeno",
-    "matter_null",
-    "field_scan_electric",
-    "field_scan_magnetic",
-    "gravity_deflection",
-)
 
 MAX_SEED = 2**64 - 1
 
-# Commonly quoted sphere radius (km) for the 1e-9 rad grazing-deflection
-# iridium case.  The record reports it next to the independently computed
-# value; the two disagree by roughly a factor of ten, so neither is adopted
-# silently.
-REFERENCE_SPHERE_RADIUS_KM = 18_900.0
-IRIDIUM_DENSITY = 22.6  # g/cm^3
+# Caps that keep every valid input bounded in time and memory.  Sampling
+# costs 8 bytes per trial, and a scan integrates one trajectory per position
+# at up to (path length / speed) / dt RK4 steps.
+MAX_TRIALS = 10_000_000
+MAX_POSITIONS = 100
+MIN_DT = 1e-13
 
 
 class ConfigError(Exception):
@@ -96,8 +64,33 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Validation: one walk over the parameter spec of a scenario
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """One configuration key.
+
+    ``kind`` is "number", "int", "bool", "choice", "vector" (3 numbers),
+    "positions" (decreasing distances) or "block" (an object with its own
+    ``fields``).  A ``required`` key must be written whenever its block is;
+    ``default`` fills a key left out.  ``low``/``high`` are inclusive bounds,
+    ``above``/``below`` exclusive ones.  A block's ``build`` constructs the
+    domain object once the fields pass; its ValueError (probabilities not
+    summing to 1, the speed bound) is reported at the block's path.
+    """
+
+    kind: str
+    default: object = None
+    required: bool = False
+    low: float | None = None
+    above: float | None = None
+    high: float | None = None
+    below: float | None = None
+    choices: tuple = ()
+    fields: dict | None = None
+    build: Callable | None = None
 
 
 def _finite(value) -> bool:
@@ -108,215 +101,102 @@ def _finite(value) -> bool:
         return False
 
 
-def _check_number(params, key, errors, path, *, required=False, minimum=None,
-                  exclusive_min=None, maximum=None):
-    if key not in params:
-        if required:
-            errors.append(f"{path}.{key}: required key is missing")
-        return
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{path}.{key}: expected a number, got {type(value).__name__}")
-        return
-    if not _finite(value):
-        errors.append(f"{path}.{key}: must be finite, got {value}")
-        return
-    if minimum is not None and value < minimum:
-        errors.append(f"{path}.{key}: must be >= {minimum}, got {value}")
-    if exclusive_min is not None and value <= exclusive_min:
-        errors.append(f"{path}.{key}: must be > {exclusive_min}, got {value}")
-    if maximum is not None and value > maximum:
-        errors.append(f"{path}.{key}: must be <= {maximum}, got {value}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_int(params, key, errors, path, *, required=False, minimum=None):
-    if key not in params:
-        if required:
-            errors.append(f"{path}.{key}: required key is missing")
-        return
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{path}.{key}: expected an integer, got {type(value).__name__}")
-        return
-    if minimum is not None and value < minimum:
-        errors.append(f"{path}.{key}: must be >= {minimum}, got {value}")
+def _range_error(par: Param, value) -> str | None:
+    if par.low is not None and value < par.low:
+        return f"must be >= {par.low}, got {value}"
+    if par.above is not None and value <= par.above:
+        return f"must be > {par.above}, got {value}"
+    if par.high is not None and value > par.high:
+        return f"must be <= {par.high}, got {value}"
+    if par.below is not None and value >= par.below:
+        return f"must be < {par.below}, got {value}"
+    return None
 
 
-def _check_bool(params, key, errors, path, *, required=False):
-    if key not in params:
-        if required:
-            errors.append(f"{path}.{key}: required key is missing")
-        return
-    if not isinstance(params[key], bool):
-        errors.append(f"{path}.{key}: expected a boolean, got {type(params[key]).__name__}")
+def _value_error(par: Param, value) -> str | None:
+    """The problem with one present value (a block's own fields aside), or None."""
+    kind, got = par.kind, type(value).__name__
+    if kind == "block":
+        return None if isinstance(value, dict) else f"expected an object, got {got}"
+    if kind == "bool":
+        return None if isinstance(value, bool) else f"expected a boolean, got {got}"
+    if kind == "choice":
+        return None if value in par.choices else (
+            f"expected one of {sorted(par.choices)}, got {value!r}")
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            return f"expected an integer, got {got}"
+        return _range_error(par, value)
+    if kind == "number":
+        if not _is_number(value):
+            return f"expected a number, got {got}"
+        if not _finite(value):
+            return f"must be finite, got {value}"
+        return _range_error(par, value)
+    if kind == "vector":
+        if not (isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))):
+            return "expected a list of 3 numbers"
+        return None if all(map(_finite, value)) else f"entries must be finite, got {value}"
+    # positions
+    if not (isinstance(value, list) and value and all(map(_is_number, value))):
+        return "expected a nonempty list of numbers"
+    if len(value) > MAX_POSITIONS:
+        return f"at most {MAX_POSITIONS} positions, got {len(value)}"
+    if not all(map(_finite, value)):
+        return f"entries must be finite, got {value}"
+    if any(b >= a for a, b in zip(value, value[1:])):
+        return "must be strictly decreasing"
+    if not all(p > 0 for p in value):
+        return "must all be positive distances"
+    return None
 
 
-def _check_choice(params, key, errors, path, choices):
-    if key in params and params[key] not in choices:
-        errors.append(f"{path}.{key}: expected one of {sorted(choices)}, got {params[key]!r}")
+def _walk(spec: dict, block: dict, path: str, errors: list[str]) -> None:
+    """Check ``block`` against ``spec``, appending one error per bad key."""
+    for key, par in spec.items():
+        where = f"{path}.{key}"
+        if key not in block:
+            if par.required:
+                errors.append(f"{where}: required key is missing")
+            continue
+        value = block[key]
+        problem = _value_error(par, value)
+        if problem:
+            errors.append(f"{where}: {problem}")
+        elif par.kind == "block":
+            checked_from = len(errors)
+            _walk(par.fields, value, where, errors)
+            if par.build is not None and len(errors) == checked_from:
+                try:
+                    par.build(value)
+                except ValueError as exc:
+                    errors.append(f"{where}: {exc}")
 
 
-def _check_vector(params, key, errors, path, *, required=False, length=3):
-    if key not in params:
-        if required:
-            errors.append(f"{path}.{key}: required key is missing")
-        return
-    value = params[key]
-    ok = isinstance(value, list) and len(value) == length and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    )
-    if not ok:
-        errors.append(f"{path}.{key}: expected a list of {length} numbers")
-    elif not all(_finite(v) for v in value):
-        errors.append(f"{path}.{key}: entries must be finite, got {value}")
+def _filled(spec: dict, block: dict) -> dict:
+    """``block`` with every left-out key at its default, sub-blocks included.
 
-
-def _check_block(params, key, errors, path, checker):
-    if key not in params:
-        return
-    value = params[key]
-    if not isinstance(value, dict):
-        errors.append(f"{path}.{key}: expected an object, got {type(value).__name__}")
-        return
-    checker(value, errors, f"{path}.{key}")
-
-
-def _check_built(build, block, errors, path, checked_from):
-    """Build the domain object from a block that passed its type checks.
-
-    The object's own constructor holds the remaining rules (probabilities
-    summing to 1, the speed bound, positive box extent); its ValueError is
-    reported at ``path``.
+    Written values, unknown keys among them, are kept exactly as given, so
+    echoed blocks keep an integer ``0`` as ``0``.
     """
-    if len(errors) > checked_from:
-        return
+    out = dict(block)
+    for key, par in spec.items():
+        if par.kind == "block":
+            out[key] = _filled(par.fields, block.get(key, {}))
+        elif key not in out and par.default is not None:
+            out[key] = par.default
+    return out
+
+
+def _load_json(text: str):
     try:
-        build(block)
-    except ValueError as exc:
-        errors.append(f"{path}: {exc}")
-
-
-def _check_grating(block, errors, path):
-    checked_from = len(errors)
-    for key in ("p_minus1", "p_0", "p_plus1"):
-        _check_number(block, key, errors, path, required=True, minimum=0.0, maximum=1.0)
-    _check_number(block, "loss", errors, path, minimum=0.0, maximum=1.0)
-    _check_built(_grating_from, block, errors, path, checked_from)
-
-
-def _check_gratings(block, errors, path):
-    for name in ("g1", "g2", "g3"):
-        _check_block(block, name, errors, path, _check_grating)
-
-
-def _check_particle(block, errors, path):
-    checked_from = len(errors)
-    _check_number(block, "q", errors, path, required=True)
-    _check_number(block, "m", errors, path, required=True, exclusive_min=0.0)
-    _check_vector(block, "r0", errors, path, required=True)
-    _check_vector(block, "v0", errors, path, required=True)
-    _check_built(_particle_from, block, errors, path, checked_from)
-
-
-def _check_geometry(block, errors, path):
-    _check_number(block, "exit_plane_x", errors, path, required=True)
-    _check_vector(block, "source_anchor", errors, path, required=True)
-    _check_vector(block, "approach_direction", errors, path, required=True)
-
-
-def _check_scan(block, errors, path):
-    if "positions" in block:
-        positions = block["positions"]
-        if not isinstance(positions, list) or not positions or not all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in positions
-        ):
-            errors.append(f"{path}.positions: expected a nonempty list of numbers")
-        elif not all(_finite(p) for p in positions):
-            errors.append(f"{path}.positions: entries must be finite, got {positions}")
-        elif any(b >= a for a, b in zip(positions, positions[1:])):
-            errors.append(f"{path}.positions: must be strictly decreasing")
-        elif not all(p > 0 for p in positions):
-            errors.append(f"{path}.positions: must all be positive distances")
-    _check_int(block, "trials_per_position", errors, path, minimum=1)
-    _check_number(block, "confidence_target", errors, path, exclusive_min=0.0)
-    if isinstance(block.get("confidence_target"), (int, float)) and not isinstance(
-        block.get("confidence_target"), bool
-    ):
-        if block["confidence_target"] >= 1.0:
-            errors.append(f"{path}.confidence_target: must be < 1, got {block['confidence_target']}")
-    _check_number(block, "phi_c", errors, path, exclusive_min=0.0)
-    _check_number(block, "dt", errors, path, exclusive_min=0.0)
-
-
-def _check_cages(block, errors, path):
-    _check_number(block, "transit_time", errors, path, exclusive_min=0.0)
-    _check_number(block, "potential_upper", errors, path)
-    _check_number(block, "potential_lower", errors, path)
-
-
-def _validate_ev_bomb(params, errors, path):
-    _check_bool(params, "object_present", errors, path, required=True)
-    _check_choice(params, "object_arm", errors, path, ARMS)
-    _check_number(params, "arm_phase", errors, path)
-    _check_int(params, "trials", errors, path, minimum=1)
-
-
-def _validate_zeno(params, errors, path):
-    _check_int(params, "n_cycles", errors, path, required=True, minimum=1)
-    _check_bool(params, "object_present", errors, path, required=True)
-
-
-def _validate_matter_null(params, errors, path):
-    _check_gratings(params, errors, path)
-    _check_number(params, "arm_extra_phase", errors, path)
-
-
-def _validate_field_scan_electric(params, errors, path):
-    _check_number(params, "source_charge", errors, path, required=True)
-    _check_block(params, "particle", errors, path, _check_particle)
-    _check_block(params, "geometry", errors, path, _check_geometry)
-    _check_block(params, "scan", errors, path, _check_scan)
-    _check_block(params, "cages", errors, path, _check_cages)
-    _check_block(params, "gratings", errors, path, _check_gratings)
-
-
-def _validate_field_scan_magnetic(params, errors, path):
-    checked_from = len(errors)
-    _check_vector(params, "field_vector", errors, path, required=True)
-    _check_vector(params, "box_half_widths", errors, path)
-    _check_number(params, "enclosed_flux", errors, path)
-    _check_block(params, "particle", errors, path, _check_particle)
-    _check_block(params, "geometry", errors, path, _check_geometry)
-    _check_block(params, "scan", errors, path, _check_scan)
-    _check_block(params, "cages", errors, path, _check_cages)
-    _check_block(params, "gratings", errors, path, _check_gratings)
-    _check_built(_field_region_from, params, errors, f"{path}.box_half_widths", checked_from)
-
-
-def _validate_gravity(params, errors, path):
-    has_direct = "mass" in params or "impact_parameter" in params
-    has_sphere = "delta_phi" in params
-    if has_direct:
-        _check_number(params, "mass", errors, path, required=True, minimum=0.0)
-        _check_number(params, "impact_parameter", errors, path, required=True,
-                      exclusive_min=0.0)
-    if has_sphere:
-        _check_number(params, "delta_phi", errors, path, exclusive_min=0.0)
-        _check_number(params, "density", errors, path, exclusive_min=0.0)
-    if not has_direct and not has_sphere:
-        errors.append(
-            f"{path}: provide mass+impact_parameter and/or delta_phi (with optional density)"
-        )
-
-
-_VALIDATORS = {
-    "ev_bomb": _validate_ev_bomb,
-    "zeno": _validate_zeno,
-    "matter_null": _validate_matter_null,
-    "field_scan_electric": _validate_field_scan_electric,
-    "field_scan_magnetic": _validate_field_scan_magnetic,
-    "gravity_deflection": _validate_gravity,
-}
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
+        raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
 
 
 def config_from_dict(doc) -> ScenarioConfig:
@@ -344,8 +224,12 @@ def config_from_dict(doc) -> ScenarioConfig:
     unknown = set(doc) - {"scenario", "seed", "output_path", "parameters"}
     for key in sorted(unknown):
         errors.append(f"{key}: unknown top-level key")
-    if scenario in _VALIDATORS:
-        _VALIDATORS[scenario](parameters, errors, "parameters")
+    if scenario in SCENARIOS:
+        entry = SCENARIO_TABLE[scenario]
+        checked_from = len(errors)
+        _walk(entry.params, parameters, "parameters", errors)
+        if entry.check is not None and len(errors) == checked_from:
+            errors += entry.check(_filled(entry.params, parameters))
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
@@ -355,11 +239,7 @@ def config_from_dict(doc) -> ScenarioConfig:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON configuration document."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
-        raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
-    return config_from_dict(doc)
+    return config_from_dict(_load_json(text))
 
 
 def emit_config(config: ScenarioConfig) -> str:
@@ -370,283 +250,241 @@ def emit_config(config: ScenarioConfig) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Scenario runners
-# ---------------------------------------------------------------------------
+def _check_gravity(p: dict) -> list[str]:
+    """The two gravity modes: mass with impact_parameter, and/or delta_phi."""
+    if ("mass" in p) != ("impact_parameter" in p):
+        missing = "mass" if "impact_parameter" in p else "impact_parameter"
+        return [f"parameters.{missing}: required key is missing"]
+    if "mass" not in p and "delta_phi" not in p:
+        return ["parameters: provide mass+impact_parameter and/or delta_phi (with optional density)"]
+    return []
 
 
-def _particle_from(block: dict) -> TestParticle:
-    return TestParticle(q=float(block["q"]), m=float(block["m"]), r0=block["r0"], v0=block["v0"])
+def _check_scan(p: dict, magnetic: bool) -> list[str]:
+    """Build the field box and derive the trial count before any compute runs."""
+    errors = []
+    if magnetic:
+        try:
+            runners.field_region_from(p)
+        except ValueError as exc:
+            errors.append(f"parameters.box_half_widths: {exc}")
+    if "trials_per_position" not in p["scan"]:
+        try:
+            trials = runners.scan_trials(p)
+        except ValueError as exc:
+            return errors + [f"parameters.scan.trials_per_position: cannot derive a count: {exc}"]
+        if trials > MAX_TRIALS:
+            errors.append(f"parameters.scan.trials_per_position: {trials} derived from the "
+                          f"gratings and confidence_target, over the cap of {MAX_TRIALS}")
+    return errors
 
 
-def _field_region_from(params: dict) -> UniformBRegion:
-    """The magnetic scan's field box, centred on the geometry's source anchor."""
-    geom = {**_SCAN_DEFAULTS["geometry"], **params.get("geometry", {})}
-    half = np.asarray(params.get("box_half_widths", _SCAN_DEFAULTS["box_half_widths"]), float)
-    anchor = np.asarray(geom["source_anchor"], float)
-    return UniformBRegion(B=params["field_vector"], box_min=anchor - half, box_max=anchor + half)
+class Flag:
+    """A subcommand option and where its value lands in the parameters.
+
+    ``to`` is a parameter key, or a function from the value to a parameter
+    fragment; ``kwargs`` go to ``add_argument``.  A value of None sets nothing.
+    """
+
+    def __init__(self, option: str, to: str | Callable, **kwargs):
+        self.option, self.to, self.kwargs = option, to, kwargs
+
+    def fragment(self, value) -> dict:
+        return self.to(value) if callable(self.to) else {self.to: value}
 
 
-def _grating_from(block: dict | None) -> GratingSpec:
-    if block is None:
-        return GratingSpec.symmetric(1.0 / 3.0)
-    return GratingSpec(
-        p_minus1=float(block["p_minus1"]),
-        p_0=float(block["p_0"]),
-        p_plus1=float(block["p_plus1"]),
-        loss=float(block.get("loss", 0.0)),
-    )
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the CLI knows about one scenario."""
+
+    help: str
+    params: dict
+    flags: tuple
+    run: Callable  # (filled parameters, seed) -> (payload body, scan rows or None)
+    summary: Callable  # payload results -> lines
+    check: Callable | None = None  # (filled parameters) -> errors, once every key passed
 
 
-def _grating_dict(g: GratingSpec) -> dict:
-    return {"p_minus1": g.p_minus1, "p_0": g.p_0, "p_plus1": g.p_plus1, "loss": g.loss}
+_GRATING = {
+    "p_minus1": Param("number", 1.0 / 3.0, required=True, low=0.0, high=1.0),
+    "p_0": Param("number", 1.0 / 3.0, required=True, low=0.0, high=1.0),
+    "p_plus1": Param("number", 1.0 / 3.0, required=True, low=0.0, high=1.0),
+    "loss": Param("number", 0.0, low=0.0, high=1.0),
+}
+_GRATINGS = {name: Param("block", fields=_GRATING, build=runners.grating_from)
+             for name in ("g1", "g2", "g3")}
+
+# The electron-beam demo setup that unlisted scan parameters fall back to.
+_PARTICLE = {
+    "q": Param("number", -4.80e-10, required=True),
+    "m": Param("number", 9.11e-28, required=True, above=0.0),
+    "r0": Param("vector", [-0.5, 0.0, 0.0], required=True),
+    "v0": Param("vector", [1.0e8, 0.0, 0.0], required=True),
+}
+_GEOMETRY = {
+    "exit_plane_x": Param("number", 0.5, required=True),
+    "source_anchor": Param("vector", [0.0, 0.0, 0.0], required=True),
+    "approach_direction": Param("vector", [0.0, 1.0, 0.0], required=True),
+}
+_CAGES = {
+    "transit_time": Param("number", 1.0e-8, above=0.0),
+    "potential_upper": Param("number", 0.0),
+    "potential_lower": Param("number", 0.0),
+}
 
 
-def _run_ev_bomb(config: ScenarioConfig) -> tuple[dict, None]:
-    p = config.parameters
-    setup = EvSetup(
-        object_present=p["object_present"],
-        object_arm=p.get("object_arm", "upper"),
-        arm_phase=float(p.get("arm_phase", 0.0)),
-    )
-    trials = p.get("trials", 100_000)
-    dist = ev_outcome_distribution(setup)
-    counts = run_ev_trials(setup, trials, np.random.default_rng(config.seed))
-    resolved = {
-        "object_present": setup.object_present,
-        "object_arm": setup.object_arm,
-        "arm_phase": setup.arm_phase,
-        "trials": trials,
+def _scan_params(source: dict, positions: list[float], phi_c: float) -> dict:
+    """A scan scenario's spec: its source keys, then the shared blocks."""
+    scan = {
+        "positions": Param("positions", positions),
+        "trials_per_position": Param("int", low=1, high=MAX_TRIALS),
+        "confidence_target": Param("number", 0.999, above=0.0, below=1),
+        "phi_c": Param("number", phi_c, above=0.0),
+        "dt": Param("number", 1.0e-11, low=MIN_DT),
     }
-    results = {
-        "analytic": {
-            "light": dist.p_light_detector,
-            "dark": dist.p_dark_detector,
-            "absorbed": dist.p_absorbed,
+    return {
+        **source,
+        "particle": Param("block", fields=_PARTICLE, build=runners.particle_from),
+        "geometry": Param("block", fields=_GEOMETRY),
+        "scan": Param("block", fields=scan),
+        "cages": Param("block", fields=_CAGES),
+        "gratings": Param("block", fields=_GRATINGS),
+    }
+
+
+def _positions_list(text: str):
+    """Comma-separated distances; text that is not numbers is passed on for validation."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        return text
+
+
+def _symmetric_gratings(p: float) -> dict:
+    g = {"p_minus1": p, "p_0": p, "p_plus1": p, "loss": max(0.0, 1.0 - 3.0 * p)}
+    return {"g1": g, "g2": g, "g3": g}
+
+
+def _cage_potentials(dv: float) -> dict:
+    """The default cages with the lower one at ``dv``; 0 leaves the cages unset."""
+    if not dv:
+        return {}
+    return {"cages": {**{key: par.default for key, par in _CAGES.items()}, "potential_lower": dv}}
+
+
+_OBJECT_PRESENT = Flag("--object-present", "object_present",
+                       action=argparse.BooleanOptionalAction, default=True)
+_SCAN_FLAGS = (
+    Flag("--phi-c", lambda phi: {"scan": {"phi_c": phi}}, type=float,
+         help="critical angle (rad)"),
+    Flag("--positions", lambda text: {"scan": {"positions": _positions_list(text)}},
+         help="comma-separated decreasing distances (cm)"),
+    Flag("--trials", lambda n: {"scan": {"trials_per_position": n}}, type=int,
+         help="trials per position"),
+)
+
+SCENARIO_TABLE = {
+    "ev_bomb": Scenario(
+        help="single-photon bomb test",
+        params={
+            "object_present": Param("bool", required=True),
+            "object_arm": Param("choice", "upper", choices=ARMS),
+            "arm_phase": Param("number", 0.0),
+            "trials": Param("int", 100_000, low=1, high=MAX_TRIALS),
         },
-        "counts": counts,
-        "frequencies": {k: v / trials for k, v in counts.items()},
-    }
-    return {"parameters": resolved, "results": results}, None
-
-
-def _run_zeno(config: ScenarioConfig) -> tuple[dict, None]:
-    p = config.parameters
-    dist = zeno_ifm_distribution(p["n_cycles"], p["object_present"])
-    resolved = {"n_cycles": p["n_cycles"], "object_present": p["object_present"]}
-    results = {
-        "p_success_detect": dist.p_success_detect,
-        "p_absorbed": dist.p_absorbed,
-        "p_inconclusive": dist.p_inconclusive,
-    }
-    return {"parameters": resolved, "results": results}, None
-
-
-def _run_matter_null(config: ScenarioConfig) -> tuple[dict, None]:
-    p = config.parameters
-    g1 = _grating_from(p.get("g1"))
-    g2 = _grating_from(p.get("g2"))
-    g3 = _grating_from(p.get("g3"))
-    model = InterferometerModel(
-        g1=g1, g2=g2, g3=g3, arm_extra_phase=float(p.get("arm_extra_phase", 0.0))
-    )
-    null = solve_ideal_offset(model)
-    tuned = dataclasses.replace(model, third_grating_phase=null.phase)
-    resolved = {
-        "g1": _grating_dict(g1),
-        "g2": _grating_dict(g2),
-        "g3": _grating_dict(g3),
-        "arm_extra_phase": model.arm_extra_phase,
-    }
-    results = {
-        "null_phase": null.phase,
-        "residual": null.residual,
-        "perfect": null.perfect,
-        "probability_no_block": detector_probability(tuned, NO_BLOCKS),
-        "probability_upper_blocked": detector_probability(tuned, BLOCK_UPPER),
-        "probability_lower_blocked": detector_probability(tuned, BLOCK_LOWER),
-        "probability_both_blocked": detector_probability(
-            tuned, PathBlockSet.of("upper", "lower")
+        flags=(
+            _OBJECT_PRESENT,
+            Flag("--object-arm", "object_arm", choices=ARMS, default="upper"),
+            Flag("--arm-phase", "arm_phase", type=float, default=0.0),
+            Flag("--trials", "trials", type=int, default=100_000),
         ),
-        "efficiency": ifm_efficiency(g1, g2),
-    }
-    return {"parameters": resolved, "results": results}, None
-
-
-_SCAN_DEFAULTS = {
-    "particle": {"q": -4.80e-10, "m": 9.11e-28, "r0": [-0.5, 0.0, 0.0], "v0": [1.0e8, 0.0, 0.0]},
-    "geometry": {
-        "exit_plane_x": 0.5,
-        "source_anchor": [0.0, 0.0, 0.0],
-        "approach_direction": [0.0, 1.0, 0.0],
-    },
-    "cages": {"transit_time": 1.0e-8, "potential_upper": 0.0, "potential_lower": 0.0},
-    "electric_positions": [0.40, 0.35, 0.30, 0.25, 0.20, 0.15, 0.10],
-    "electric_phi_c": 2.0e-3,
-    "magnetic_positions": [0.30, 0.22, 0.15, 0.10, 0.06],
-    "magnetic_phi_c": 1.0e-5,
-    "box_half_widths": [0.20, 0.08, 0.20],
-    "confidence_target": 0.999,
-    "dt": 1.0e-11,
+        run=runners.ev_bomb,
+        summary=runners.ev_bomb_summary,
+    ),
+    "zeno": Scenario(
+        help="N-cycle repeated-interrogation bomb test",
+        params={
+            "n_cycles": Param("int", required=True, low=1),
+            "object_present": Param("bool", required=True),
+        },
+        flags=(Flag("--cycles", "n_cycles", type=int, required=True), _OBJECT_PRESENT),
+        run=runners.zeno,
+        summary=runners.zeno_summary,
+    ),
+    "matter_null": Scenario(
+        help="three-grating dark-fringe calibration",
+        params={**_GRATINGS, "arm_extra_phase": Param("number", 0.0)},
+        flags=(
+            Flag("--grating-p", _symmetric_gratings, type=float, default=1.0 / 3.0,
+                 help="per-order probability of the symmetric gratings"),
+            Flag("--arm-extra-phase", "arm_extra_phase", type=float, default=0.0),
+        ),
+        run=runners.matter_null,
+        summary=runners.matter_null_summary,
+    ),
+    "field_scan_electric": Scenario(
+        help="scan a point charge toward the beam",
+        params=_scan_params({"source_charge": Param("number", required=True)},
+                            [0.40, 0.35, 0.30, 0.25, 0.20, 0.15, 0.10], 2.0e-3),
+        flags=(
+            Flag("--source-charge", "source_charge", type=float, required=True, help="statC"),
+            *_SCAN_FLAGS,
+            Flag("--cage-dv", _cage_potentials, type=float, default=0.0,
+                 help="cage potential difference lower-upper (statV)"),
+        ),
+        run=lambda p, seed: runners.field_scan(p, seed, magnetic=False),
+        summary=runners.field_scan_summary,
+        check=lambda p: _check_scan(p, magnetic=False),
+    ),
+    "field_scan_magnetic": Scenario(
+        help="scan a uniform-field region toward the beam",
+        params=_scan_params(
+            {
+                "field_vector": Param("vector", required=True),
+                "box_half_widths": Param("vector", [0.20, 0.08, 0.20]),
+                "enclosed_flux": Param("number", 0.0),
+            },
+            [0.30, 0.22, 0.15, 0.10, 0.06], 1.0e-5,
+        ),
+        flags=(
+            Flag("--field-strength", lambda bz: {"field_vector": [0.0, 0.0, bz]}, type=float,
+                 required=True, help="Bz inside the region (gauss)"),
+            Flag("--enclosed-flux", "enclosed_flux", type=float, default=0.0, help="gauss*cm^2"),
+            *_SCAN_FLAGS,
+        ),
+        run=lambda p, seed: runners.field_scan(p, seed, magnetic=True),
+        summary=runners.field_scan_summary,
+        check=lambda p: _check_scan(p, magnetic=True),
+    ),
+    "gravity_deflection": Scenario(
+        help="light bending by a mass",
+        params={
+            "mass": Param("number", low=0.0),
+            "impact_parameter": Param("number", above=0.0),
+            "delta_phi": Param("number", above=0.0),
+            "density": Param("number", runners.IRIDIUM_DENSITY, above=0.0),
+        },
+        flags=(
+            Flag("--mass", "mass", type=float, help="g"),
+            Flag("--impact-parameter", "impact_parameter", type=float, help="cm"),
+            Flag("--target-deflection", "delta_phi", type=float,
+                 help="desired grazing deflection (rad)"),
+            Flag("--density", "density", type=float, help="sphere density (g/cm^3)"),
+        ),
+        run=runners.gravity_deflection,
+        summary=runners.gravity_summary,
+        check=_check_gravity,
+    ),
 }
 
-
-def _run_field_scan(config: ScenarioConfig, magnetic: bool) -> tuple[dict, list[dict]]:
-    p = config.parameters
-    part = {**_SCAN_DEFAULTS["particle"], **p.get("particle", {})}
-    geom = {**_SCAN_DEFAULTS["geometry"], **p.get("geometry", {})}
-    cages = {**_SCAN_DEFAULTS["cages"], **p.get("cages", {})}
-    scan = dict(p.get("scan", {}))
-    gblocks = p.get("gratings", {})
-
-    particle = _particle_from(part)
-    geometry = BeamGeometry(
-        exit_plane_x=float(geom["exit_plane_x"]),
-        source_anchor=geom["source_anchor"],
-        approach_direction=geom["approach_direction"],
-    )
-    g1 = _grating_from(gblocks.get("g1"))
-    g2 = _grating_from(gblocks.get("g2"))
-    g3 = _grating_from(gblocks.get("g3"))
-    model = InterferometerModel(g1=g1, g2=g2, g3=g3)
-
-    if magnetic:
-        template = _field_region_from(p)
-        default_positions = _SCAN_DEFAULTS["magnetic_positions"]
-        default_phi_c = _SCAN_DEFAULTS["magnetic_phi_c"]
-        enclosed_flux = float(p.get("enclosed_flux", 0.0))
-    else:
-        template = PointCharge(q=float(p["source_charge"]), position=geom["source_anchor"])
-        default_positions = _SCAN_DEFAULTS["electric_positions"]
-        default_phi_c = _SCAN_DEFAULTS["electric_phi_c"]
-        enclosed_flux = 0.0
-
-    setup = CalibrationSetup(
-        transit_time=float(cages["transit_time"]),
-        cage_potential_upper=float(cages["potential_upper"]),
-        cage_potential_lower=float(cages["potential_lower"]),
-        enclosed_flux=enclosed_flux,
-    )
-    calibration = calibrate(model, setup, particle.q)
-
-    efficiency = ifm_efficiency(g1, g2)
-    confidence = float(scan.get("confidence_target", _SCAN_DEFAULTS["confidence_target"]))
-    trials = scan.get("trials_per_position")
-    if trials is None:
-        trials = required_trials(efficiency, confidence)
-    scan_config = ScanConfig(
-        positions=tuple(scan.get("positions", default_positions)),
-        trials_per_position=int(trials),
-        confidence_target=confidence,
-        phi_c=float(scan.get("phi_c", default_phi_c)),
-        seed=config.seed,
-        geometry=geometry,
-        dt=float(scan.get("dt", _SCAN_DEFAULTS["dt"])),
-    )
-    result = run_field_scan(calibration.model, template, particle, scan_config)
-
-    resolved = {
-        "particle": part,
-        "geometry": geom,
-        "cages": cages,
-        "gratings": {"g1": _grating_dict(g1), "g2": _grating_dict(g2), "g3": _grating_dict(g3)},
-        "scan": {
-            "positions": list(scan_config.positions),
-            "trials_per_position": scan_config.trials_per_position,
-            "confidence_target": scan_config.confidence_target,
-            "phi_c": scan_config.phi_c,
-            "dt": scan_config.dt,
-        },
-    }
-    if magnetic:
-        resolved["field_vector"] = list(map(float, p["field_vector"]))
-        resolved["box_half_widths"] = [
-            float(h) for h in p.get("box_half_widths", _SCAN_DEFAULTS["box_half_widths"])
-        ]
-        resolved["enclosed_flux"] = enclosed_flux
-    else:
-        resolved["source_charge"] = float(p["source_charge"])
-
-    rows = [
-        {
-            "index": i,
-            "distance_cm": rec.distance,
-            "deflection_rad": rec.deflection_angle,
-            "blocked": rec.blocked,
-            "detection_probability": rec.detection_probability,
-            "trials": rec.trials,
-            "detections": rec.detections,
-            "field_magnitude": rec.field_magnitude,
-        }
-        for i, rec in enumerate(result.per_position)
-    ]
-    results = {
-        "calibration": {
-            "arm_extra_phase": calibration.model.arm_extra_phase,
-            "third_grating_phase": calibration.model.third_grating_phase,
-            "residual": calibration.null.residual,
-            "perfect": calibration.null.perfect,
-        },
-        "efficiency": efficiency,
-        "scan": {
-            "conclusive": result.conclusive,
-            "first_detecting_position": result.first_detecting_position,
-            "field_bound": result.field_bound,
-            "field_bound_error": result.field_bound_error,
-            "bracket": list(result.bracket) if result.bracket else None,
-            "positions_scanned": len(result.per_position),
-        },
-        "per_position": rows,
-    }
-    return {"parameters": resolved, "results": results}, rows
-
-
-def _run_gravity(config: ScenarioConfig) -> tuple[dict, None]:
-    p = config.parameters
-    resolved: dict = {}
-    results: dict = {}
-    if "mass" in p:
-        mass = float(p["mass"])
-        b = float(p["impact_parameter"])
-        resolved.update({"mass": mass, "impact_parameter": b})
-        results["deflection_rad"] = light_deflection(mass, b)
-    if "delta_phi" in p:
-        delta_phi = float(p["delta_phi"])
-        density = float(p.get("density", IRIDIUM_DENSITY))
-        radius_cm = sphere_radius_for_deflection(delta_phi, density)
-        radius_km = radius_cm / 1.0e5
-        sphere_mass = 4.0 / 3.0 * np.pi * radius_cm**3 * density
-        resolved.update({"delta_phi": delta_phi, "density": density})
-        results["sphere"] = {
-            "radius_cm": radius_cm,
-            "radius_km": radius_km,
-            "reference_radius_km": REFERENCE_SPHERE_RADIUS_KM,
-            "ratio_to_reference": radius_km / REFERENCE_SPHERE_RADIUS_KM,
-            "sphere_mass_g": sphere_mass,
-            "deflection_check": light_deflection(sphere_mass, radius_cm),
-        }
-    return {"parameters": resolved, "results": results}, None
-
-
-_RUNNERS = {
-    "ev_bomb": _run_ev_bomb,
-    "zeno": _run_zeno,
-    "matter_null": _run_matter_null,
-    "field_scan_electric": lambda c: _run_field_scan(c, magnetic=False),
-    "field_scan_magnetic": lambda c: _run_field_scan(c, magnetic=True),
-    "gravity_deflection": _run_gravity,
-}
+SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 def run_scenario(config: ScenarioConfig) -> ResultRecord:
     """Dispatch a validated configuration and build its result record."""
-    body, rows = _RUNNERS[config.scenario](config)
-    payload = {
-        "scenario": config.scenario,
-        "seed": config.seed,
-        "parameters": body["parameters"],
-        "results": body["results"],
-    }
+    entry = SCENARIO_TABLE[config.scenario]
+    body, rows = entry.run(_filled(entry.params, config.parameters), config.seed)
+    payload = {"scenario": config.scenario, "seed": config.seed, **body}
     return ResultRecord(metadata=make_metadata("ifmsim", __version__), payload=payload,
                         scan_rows=rows)
 
@@ -656,63 +494,10 @@ def run_scenario(config: ScenarioConfig) -> ResultRecord:
 # ---------------------------------------------------------------------------
 
 
-def _summary_lines(record: ResultRecord) -> list[str]:
-    payload = record.payload
-    results = payload["results"]
-    lines = [f"scenario: {payload['scenario']}   seed: {payload['seed']}"]
-    if payload["scenario"] == "ev_bomb":
-        a = results["analytic"]
-        lines.append(
-            f"analytic  light={a['light']:.6g} dark={a['dark']:.6g} absorbed={a['absorbed']:.6g}"
-        )
-        f = results["frequencies"]
-        lines.append(
-            f"sampled   light={f['light']:.6g} dark={f['dark']:.6g} absorbed={f['absorbed']:.6g}"
-        )
-    elif payload["scenario"] == "zeno":
-        lines.append(
-            f"p_success={results['p_success_detect']:.6g} "
-            f"p_absorbed={results['p_absorbed']:.6g} "
-            f"p_inconclusive={results['p_inconclusive']:.6g}"
-        )
-    elif payload["scenario"] == "matter_null":
-        lines.append(
-            f"null_phase={results['null_phase']:.12g} residual={results['residual']:.3g} "
-            f"efficiency={results['efficiency']:.6g}"
-        )
-        lines.append(
-            f"P(no block)={results['probability_no_block']:.3g} "
-            f"P(upper blocked)={results['probability_upper_blocked']:.6g}"
-        )
-    elif payload["scenario"] in ("field_scan_electric", "field_scan_magnetic"):
-        scan = results["scan"]
-        lines.append(
-            f"calibrated third_grating_phase={results['calibration']['third_grating_phase']:.12g} "
-            f"efficiency={results['efficiency']:.6g}"
-        )
-        if scan["conclusive"]:
-            lines.append(
-                f"detection at distance {scan['first_detecting_position']:.6g} cm; "
-                f"field bound {scan['field_bound']:.6g} "
-                f"(step error {scan['field_bound_error'] if scan['field_bound_error'] is not None else 'n/a'})"
-            )
-        else:
-            lines.append("no detection: field too weak over the scanned positions")
-    elif payload["scenario"] == "gravity_deflection":
-        if "deflection_rad" in results:
-            lines.append(f"deflection = {results['deflection_rad']:.12g} rad")
-        if "sphere" in results:
-            s = results["sphere"]
-            lines.append(
-                f"computed radius = {s['radius_km']:.6g} km; "
-                f"reference figure = {s['reference_radius_km']:.6g} km; "
-                f"ratio = {s['ratio_to_reference']:.6g}"
-            )
-    return lines
-
-
 def _write_outputs(record: ResultRecord, output_path: str | None) -> None:
-    for line in _summary_lines(record):
+    payload = record.payload
+    print(f"scenario: {payload['scenario']}   seed: {payload['seed']}")
+    for line in SCENARIO_TABLE[payload["scenario"]].summary(payload["results"]):
         print(line)
     if output_path is None:
         print(record_text(record), end="")
@@ -727,11 +512,6 @@ def _write_outputs(record: ResultRecord, output_path: str | None) -> None:
         table_path = path.with_suffix(".scan.tsv")
         table_path.write_text(scan_table_text(record.scan_rows))
         print(f"scan table written to {table_path}")
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sub.add_argument("--output", default=None, help="path for the JSON record")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -749,56 +529,22 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", default=None, help="override the config output path")
     run.add_argument("--trials", type=int, default=None, help="override the trial count")
 
-    ev = subs.add_parser("ev-bomb", help="single-photon bomb test")
-    ev.add_argument("--object-present", action=argparse.BooleanOptionalAction, default=True)
-    ev.add_argument("--object-arm", choices=ARMS, default="upper")
-    ev.add_argument("--arm-phase", type=float, default=0.0)
-    ev.add_argument("--trials", type=int, default=100_000)
-    _add_common(ev)
-
-    zeno = subs.add_parser("zeno", help="N-cycle repeated-interrogation bomb test")
-    zeno.add_argument("--cycles", type=int, required=True)
-    zeno.add_argument("--object-present", action=argparse.BooleanOptionalAction, default=True)
-    _add_common(zeno)
-
-    null = subs.add_parser("matter-null", help="three-grating dark-fringe calibration")
-    null.add_argument("--grating-p", type=float, default=1.0 / 3.0,
-                      help="per-order probability of the symmetric gratings")
-    null.add_argument("--arm-extra-phase", type=float, default=0.0)
-    _add_common(null)
-
-    fse = subs.add_parser("field-scan-electric", help="scan a point charge toward the beam")
-    fse.add_argument("--source-charge", type=float, required=True, help="statC")
-    fse.add_argument("--phi-c", type=float, default=None, help="critical angle (rad)")
-    fse.add_argument("--positions", default=None,
-                     help="comma-separated decreasing distances (cm)")
-    fse.add_argument("--trials", type=int, default=None, help="trials per position")
-    fse.add_argument("--cage-dv", type=float, default=0.0,
-                     help="cage potential difference lower-upper (statV)")
-    _add_common(fse)
-
-    fsm = subs.add_parser("field-scan-magnetic", help="scan a uniform-field region toward the beam")
-    fsm.add_argument("--field-strength", type=float, required=True,
-                     help="Bz inside the region (gauss)")
-    fsm.add_argument("--enclosed-flux", type=float, default=0.0, help="gauss*cm^2")
-    fsm.add_argument("--phi-c", type=float, default=None)
-    fsm.add_argument("--positions", default=None)
-    fsm.add_argument("--trials", type=int, default=None)
-    _add_common(fsm)
-
-    grav = subs.add_parser("gravity-deflection", help="light bending by a mass")
-    grav.add_argument("--mass", type=float, default=None, help="g")
-    grav.add_argument("--impact-parameter", type=float, default=None, help="cm")
-    grav.add_argument("--target-deflection", type=float, default=None,
-                      help="desired grazing deflection (rad)")
-    grav.add_argument("--density", type=float, default=None, help="sphere density (g/cm^3)")
-    _add_common(grav)
-
+    for name, entry in SCENARIO_TABLE.items():
+        sub = subs.add_parser(name.replace("_", "-"), help=entry.help)
+        for flag in entry.flags:
+            sub.add_argument(flag.option, **flag.kwargs)
+        sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        sub.add_argument("--output", default=None, help="path for the JSON record")
     return parser
 
 
-def _positions_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _merge(into: dict, fragment: dict) -> None:
+    """Add ``fragment`` to ``into``, leaving a written non-object value for validation."""
+    for key, value in fragment.items():
+        if not (isinstance(value, dict) and key in into):
+            into[key] = value
+        elif isinstance(into[key], dict):
+            _merge(into[key], value)
 
 
 def _config_from_namespace(ns: argparse.Namespace) -> ScenarioConfig:
@@ -807,88 +553,32 @@ def _config_from_namespace(ns: argparse.Namespace) -> ScenarioConfig:
             text = Path(ns.config).read_text()
         except OSError as exc:
             raise ConfigError([f"config: cannot read {ns.config}: {exc}"]) from exc
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
-            raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
+        doc = _load_json(text)
         if not isinstance(doc, dict):
             raise ConfigError(["config: expected a JSON object at the top level"])
         if ns.seed is not None:
             doc["seed"] = ns.seed
-        if ns.output is not None:
-            doc["output_path"] = ns.output
-        if ns.trials is not None and isinstance(doc.get("parameters"), dict):
-            scenario = doc.get("scenario")
-            if scenario == "ev_bomb":
-                doc["parameters"]["trials"] = ns.trials
-            elif scenario in ("field_scan_electric", "field_scan_magnetic"):
-                doc["parameters"].setdefault("scan", {})["trials_per_position"] = ns.trials
-        return config_from_dict(doc)
-
-    scenario = ns.command.replace("-", "_")
-    params: dict = {}
-    if scenario == "ev_bomb":
-        params = {
-            "object_present": ns.object_present,
-            "object_arm": ns.object_arm,
-            "arm_phase": ns.arm_phase,
-            "trials": ns.trials,
-        }
-    elif scenario == "zeno":
-        params = {"n_cycles": ns.cycles, "object_present": ns.object_present}
-    elif scenario == "matter_null":
-        g = {"p_minus1": ns.grating_p, "p_0": ns.grating_p, "p_plus1": ns.grating_p,
-             "loss": max(0.0, 1.0 - 3.0 * ns.grating_p)}
-        params = {"g1": g, "g2": g, "g3": g, "arm_extra_phase": ns.arm_extra_phase}
-    elif scenario == "field_scan_electric":
-        params = {"source_charge": ns.source_charge}
-        if ns.cage_dv:
-            params["cages"] = {
-                "transit_time": _SCAN_DEFAULTS["cages"]["transit_time"],
-                "potential_upper": 0.0,
-                "potential_lower": ns.cage_dv,
-            }
-        _apply_scan_flags(params, ns)
-    elif scenario == "field_scan_magnetic":
-        params = {
-            "field_vector": [0.0, 0.0, ns.field_strength],
-            "enclosed_flux": ns.enclosed_flux,
-        }
-        _apply_scan_flags(params, ns)
-    elif scenario == "gravity_deflection":
-        if ns.mass is not None or ns.impact_parameter is not None:
-            params["mass"] = ns.mass
-            params["impact_parameter"] = ns.impact_parameter
-        if ns.target_deflection is not None:
-            params["delta_phi"] = ns.target_deflection
-            if ns.density is not None:
-                params["density"] = ns.density
-        if params.get("mass") is None and "delta_phi" not in params:
-            raise ConfigError(
-                ["parameters: provide --mass and --impact-parameter, or --target-deflection"]
-            )
-        params = {k: v for k, v in params.items() if v is not None}
-    doc = {"scenario": scenario, "seed": ns.seed, "parameters": params}
+        # ``--trials`` lands where the scenario's own ``--trials`` flag puts it.
+        scenario = doc.get("scenario")
+        flags = SCENARIO_TABLE[scenario].flags if scenario in SCENARIOS else ()
+        trials = [flag for flag in flags if flag.option == "--trials"]
+        if ns.trials is not None and trials and isinstance(doc.get("parameters"), dict):
+            _merge(doc["parameters"], trials[0].fragment(ns.trials))
+    else:
+        scenario = ns.command.replace("-", "_")
+        params: dict = {}
+        for flag in SCENARIO_TABLE[scenario].flags:
+            value = getattr(ns, flag.option[2:].replace("-", "_"))
+            if value is not None:
+                _merge(params, flag.fragment(value))
+        doc = {"scenario": scenario, "seed": ns.seed, "parameters": params}
     if ns.output is not None:
         doc["output_path"] = ns.output
     return config_from_dict(doc)
 
 
-def _apply_scan_flags(params: dict, ns: argparse.Namespace) -> None:
-    scan: dict = {}
-    if ns.phi_c is not None:
-        scan["phi_c"] = ns.phi_c
-    if ns.positions is not None:
-        scan["positions"] = _positions_list(ns.positions)
-    if ns.trials is not None:
-        scan["trials_per_position"] = ns.trials
-    if scan:
-        params["scan"] = scan
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         config = _config_from_namespace(ns)
     except ConfigError as exc:

@@ -157,7 +157,7 @@ class TrajectoryResult:
 
     ``t`` is strictly increasing; ``r`` and ``v`` are (n, 3) arrays sampled at
     those times.  ``termination`` records why integration stopped:
-    "exit_plane" or "bounds".
+    "exit_plane".
     """
 
     t: np.ndarray
@@ -289,18 +289,17 @@ def integrate_trajectory(
     dt: float,
     *,
     constants: PhysicalConstants = CGS,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
     max_steps: int = 2_000_000,
     singularity_cutoff: float = 1e-6,
 ) -> TrajectoryResult:
     """RK4 integration of the particle through the source's field.
 
     Integration runs until the x coordinate crosses ``exit_plane_x`` (the
-    final partial step is refined onto the plane) or the particle leaves the
-    optional bounding box.  The particle must initially move toward the plane.
-    Approaching a point source within ``singularity_cutoff`` cm raises
-    :class:`SingularityError`; exhausting ``max_steps`` raises
-    :class:`StepLimitError`.
+    final partial step is refined onto the plane).  The particle must
+    initially move toward the plane.  A step whose segment r + s*v*dt
+    (0 <= s <= 1) passes within ``singularity_cutoff`` cm of a point source
+    raises :class:`SingularityError`, so no step jumps over the charge;
+    exhausting ``max_steps`` raises :class:`StepLimitError`.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -315,9 +314,15 @@ def integrate_trajectory(
     if guard_point:
         gx, gy, gz = (float(c) for c in source.position)
         cutoff2 = singularity_cutoff * singularity_cutoff
-    if bounds is not None:
-        blo = _vec3(bounds[0], "bounds[0]")
-        bhi = _vec3(bounds[1], "bounds[1]")
+        # No step starting beyond ``reach`` gets within the cutoff: energy
+        # bounds the speed at distance r by sqrt(V^2 + 2|k|/r) (k = q*Q/m,
+        # V^2 = v0^2 + 2|k|/r0), and beyond reach 2*dt times that is < r - cutoff.
+        k = abs(particle.q * source.q / particle.m)
+        r0 = max(float(np.linalg.norm(particle.r0 - source.position)), singularity_cutoff)
+        speed = math.sqrt(vx * vx + vy * vy + vz * vz + 2.0 * k / r0)
+        reach = max(2.0 * (singularity_cutoff + 2.0 * dt * speed),
+                    (4.0 * dt) ** (2.0 / 3.0) * (2.0 * k) ** (1.0 / 3.0))
+        reach2 = reach * reach
 
     def rk4(x, y, z, vx, vy, vz, h):
         a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
@@ -342,14 +347,19 @@ def integrate_trajectory(
 
     rows = [(0.0, x, y, z, vx, vy, vz)]
     t = 0.0
-    termination = None
     for _ in range(max_steps):
         if guard_point:
             dx, dy, dz = x - gx, y - gy, z - gz
-            if dx * dx + dy * dy + dz * dz < cutoff2:
-                raise SingularityError(
-                    f"trajectory within {singularity_cutoff} cm of the point source"
-                )
+            if dx * dx + dy * dy + dz * dz < reach2:
+                # Closest approach of the step's segment r + s*v*dt, 0 <= s <= 1.
+                sx, sy, sz = vx * dt, vy * dt, vz * dt
+                s = -(dx * sx + dy * sy + dz * sz) / ((sx * sx + sy * sy + sz * sz) or 1.0)
+                s = min(max(s, 0.0), 1.0)
+                px, py, pz = dx + s * sx, dy + s * sy, dz + s * sz
+                if px * px + py * py + pz * pz < cutoff2:
+                    raise SingularityError(
+                        f"trajectory within {singularity_cutoff} cm of the point source"
+                    )
         nx, ny, nz, nvx, nvy, nvz = rk4(x, y, z, vx, vy, vz, dt)
         if (exit_plane_x - nx) * direction <= 0.0:
             # Crossed the plane inside this step: refine the substep onto it.
@@ -365,18 +375,11 @@ def integrate_trajectory(
                 h = min(max(h, 1e-15 * dt), dt)
                 nx, ny, nz, nvx, nvy, nvz = rk4(x, y, z, vx, vy, vz, h)
             x, y, z, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
-            t += h
-            termination = "exit_plane"
-        else:
-            x, y, z, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
-            t += dt
-        rows.append((t, x, y, z, vx, vy, vz))
-        if termination is None and bounds is not None:
-            pos = np.array((x, y, z))
-            if np.any(pos < blo) or np.any(pos > bhi):
-                termination = "bounds"
-        if termination is not None:
+            rows.append((t + h, x, y, z, vx, vy, vz))
             break
+        x, y, z, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
+        t += dt
+        rows.append((t, x, y, z, vx, vy, vz))
     else:
         raise StepLimitError(f"exit plane not reached within {max_steps} steps")
 
@@ -387,7 +390,7 @@ def integrate_trajectory(
         r=samples[:, 1:4],
         v=samples[:, 4:7],
         deflection_angle=_deflection_between(particle.v0, v_final),
-        termination=termination,
+        termination="exit_plane",
     )
 
 

@@ -124,18 +124,25 @@ def calibrate(
 
 
 def required_trials(p_detect: float, confidence: float) -> int:
-    """Smallest M with 1 - (1 - p_detect)^M >= confidence."""
+    """Smallest M with 1 - (1 - p_detect)^M >= confidence.
+
+    Evaluated as -expm1(M * log1p(-p_detect)), exact also where 1 - p_detect rounds.
+    """
     if not 0.0 < p_detect <= 1.0:
         raise ValueError("p_detect must lie in (0, 1]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     if p_detect == 1.0:
         return 1
-    m = max(1, math.ceil(math.log1p(-confidence) / math.log1p(-p_detect)))
+    log_miss = math.log1p(-p_detect)
+    estimate = math.log1p(-confidence) / log_miss
+    if math.isinf(estimate):  # a subnormal p_detect
+        raise ValueError(f"p_detect = {p_detect} needs more trials than a float can count")
+    m = max(1, math.ceil(estimate))
     # Guard against floating-point edge-of-ceiling errors in either direction.
-    while 1.0 - (1.0 - p_detect) ** m < confidence:
+    while -math.expm1(m * log_miss) < confidence:
         m += 1
-    while m > 1 and 1.0 - (1.0 - p_detect) ** (m - 1) >= confidence:
+    while m > 1 and -math.expm1((m - 1) * log_miss) >= confidence:
         m -= 1
     return m
 

@@ -1,11 +1,17 @@
 """Configuration validation, record emission, determinism, and exit codes."""
 
+import hashlib
 import json
+import re
+import shlex
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ifmsim import cli
 from ifmsim.cli import (
     ConfigError,
     ScenarioConfig,
@@ -356,6 +362,27 @@ class TestMainExitCodes:
         assert main(["run", str(cfg)]) == 2
         assert f"{field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, extra, field",
+        [
+            ({"scenario": ["ev_bomb"], "seed": 1}, [], "scenario"),
+            ({"scenario": "field_scan_electric", "seed": 1,
+              "parameters": {"source_charge": 5e-6, "scan": [0.3]}},
+             ["--trials", "5"], "parameters.scan"),
+            (None, ["field-scan-electric", "--source-charge", "5e-6", "--positions", "a,b"],
+             "parameters.scan.positions"),
+        ],
+    )
+    def test_malformed_input_exits_2(self, doc, extra, field, tmp_path, capsys):
+        # Each of these raised a TypeError or ValueError traceback (exit 1).
+        argv = extra
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = ["run", str(cfg), *extra]
+        assert main(argv) == 2
+        assert f"{field}: " in capsys.readouterr().err
+
     def test_overlong_int_literal_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -367,3 +394,311 @@ class TestMainExitCodes:
         expected = ("config: invalid JSON" if hasattr(sys, "get_int_max_str_digits")
                     else "parameters.arm_phase: ")
         assert expected in capsys.readouterr().err
+
+
+# Gratings whose interaction-free efficiency is p1 * p2 = 1e-12.
+FAINT_GRATING = {"p_minus1": 1e-6, "p_0": 1e-6, "p_plus1": 1e-6, "loss": 1 - 3e-6}
+FAINT_GRATINGS = {"g1": FAINT_GRATING, "g2": FAINT_GRATING, "g3": FAINT_GRATING}
+
+
+class TestInputCaps:
+    """Every cap exits at its field path during validation; no extreme value runs."""
+
+    @staticmethod
+    def errors(scenario, parameters):
+        with pytest.raises(ConfigError) as err:
+            make_config(scenario, 1, parameters)
+        return err.value.errors
+
+    def test_trials(self):
+        assert cli.MAX_TRIALS == 10**7
+        make_config("ev_bomb", 1, {"object_present": True, "trials": 10**7})
+        (error,) = self.errors("ev_bomb", {"object_present": True, "trials": 10**7 + 1})
+        assert error.startswith("parameters.trials: must be <= 10000000")
+
+    def test_explicit_trials_per_position(self):
+        scan = {"source_charge": 5e-6, "scan": {"trials_per_position": 10**7}}
+        make_config("field_scan_electric", 1, scan)
+        scan["scan"]["trials_per_position"] += 1
+        (error,) = self.errors("field_scan_electric", scan)
+        assert error.startswith("parameters.scan.trials_per_position: must be <= 10000000")
+
+    @pytest.mark.parametrize("scenario, source", [
+        ("field_scan_electric", {"source_charge": 5e-6}),
+        ("field_scan_magnetic", {"field_vector": [0.0, 0.0, 1e-3]}),
+    ])
+    def test_derived_trials_per_position(self, scenario, source):
+        # required_trials(1e-12, 0.999) = 6,907,755,278,979 trials per position.
+        (error,) = self.errors(scenario, {**source, "gratings": FAINT_GRATINGS})
+        assert error.startswith("parameters.scan.trials_per_position: 6907755278979 derived")
+        # An explicit count skips the derivation.
+        make_config(scenario, 1, {**source, "gratings": FAINT_GRATINGS,
+                                  "scan": {"trials_per_position": 10}})
+
+    def test_zero_efficiency_cannot_derive_trials(self):
+        dark = {"p_minus1": 0.5, "p_0": 0.0, "p_plus1": 0.5}
+        (error,) = self.errors("field_scan_electric",
+                               {"source_charge": 5e-6, "gratings": {"g1": dark}})
+        assert error.startswith("parameters.scan.trials_per_position: cannot derive")
+
+    def test_positions(self):
+        assert cli.MAX_POSITIONS == 100
+        positions = [1.0 - 0.005 * i for i in range(101)]
+        make_config("field_scan_electric", 1,
+                    {"source_charge": 5e-6, "scan": {"positions": positions[:100]}})
+        (error,) = self.errors("field_scan_electric",
+                               {"source_charge": 5e-6, "scan": {"positions": positions}})
+        assert error == "parameters.scan.positions: at most 100 positions, got 101"
+
+    def test_dt(self):
+        assert cli.MIN_DT == 1e-13
+        make_config("field_scan_magnetic", 1,
+                    {"field_vector": [0.0, 0.0, 1e-3], "scan": {"dt": 1e-13}})
+        (error,) = self.errors("field_scan_magnetic",
+                               {"field_vector": [0.0, 0.0, 1e-3], "scan": {"dt": 9e-14}})
+        assert error.startswith("parameters.scan.dt: must be >= 1e-13")
+
+    def test_run_trials_override_is_capped(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "field_scan_electric", "seed": 1,
+                                   "parameters": {"source_charge": 5e-6}}))
+        assert main(["run", str(cfg), "--trials", str(10**7 + 1)]) == 2
+        assert "parameters.scan.trials_per_position: must be <=" in capsys.readouterr().err
+
+    def test_faint_gratings_scan_exits_2_at_once(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "field_scan_electric", "seed": 1,
+                                   "parameters": {"source_charge": 5e-6,
+                                                  "gratings": FAINT_GRATINGS}}))
+        start = time.perf_counter()
+        assert main(["run", str(cfg)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "parameters.scan.trials_per_position: " in capsys.readouterr().err
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_commands():
+    """The ``ifmsim ...`` lines of the README's Command line block, options in [] dropped."""
+    block = README.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(re.sub(r"\[[^\]]*\]", "", line))[1:]
+            for line in block.splitlines() if line.startswith("ifmsim ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv, tmp_path):
+    argv = list(argv)
+    if argv[0] == "run":  # the README's example configuration document
+        example = README.split("```json", 1)[1].split("```", 1)[0]
+        argv[1] = str(tmp_path / argv[1])
+        Path(argv[1]).write_text(example)
+    if "--output" in argv:
+        argv[argv.index("--output") + 1] = str(tmp_path / "out.json")
+    else:
+        argv += ["--output", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert (tmp_path / "out.json").exists()
+
+# ---------------------------------------------------------------------------
+# Contract pins: payload bytes, scan tables and the parser surface, recorded
+# from the version 0.2.0 CLI with its hand-written per-scenario code.
+# ---------------------------------------------------------------------------
+
+PIN_SEEDS = (1, 7, 42)
+
+# Each scenario once through its subcommand and once through ``run``; the
+# ``run-trials`` cases add ``run --trials``, which only some scenarios take.
+PIN_SUBCOMMANDS = {
+    "ev_bomb": ["ev-bomb", "--object-arm", "lower", "--arm-phase", "0.3", "--trials", "20000"],
+    "zeno": ["zeno", "--cycles", "64"],
+    "matter_null": ["matter-null", "--grating-p", "0.3", "--arm-extra-phase", "0.5"],
+    "field_scan_electric": ["field-scan-electric", "--source-charge", "5e-6", "--cage-dv", "0.01"],
+    "field_scan_magnetic": ["field-scan-magnetic", "--field-strength", "1e-3",
+                            "--enclosed-flux", "1e-7"],
+    "gravity_deflection": ["gravity-deflection", "--mass", "1.989e33", "--impact-parameter",
+                           "6.96e10", "--target-deflection", "1e-9", "--density", "22.6"],
+}
+
+PIN_RUN_PARAMETERS = {
+    "ev_bomb": {"object_present": True, "trials": 20_000},
+    "zeno": {"n_cycles": 16, "object_present": False},
+    "matter_null": {"g2": {"p_minus1": 0.25, "p_0": 0.5, "p_plus1": 0.25},
+                    "arm_extra_phase": 1.0},
+    "field_scan_electric": {"source_charge": 4e-6,
+                            "scan": {"positions": [0.4, 0.3, 0.2, 0.1], "phi_c": 2e-3}},
+    "field_scan_magnetic": {"field_vector": [0.0, 0.0, 2e-3],
+                            "box_half_widths": [0.2, 0.1, 0.2]},
+    "gravity_deflection": {"delta_phi": 1e-9},
+}
+
+# A scan whose echoed blocks hold integers, which the payload keeps as written.
+PIN_INTEGER_SCAN = {
+    "source_charge": 5e-6,
+    "particle": {"q": -4.8e-10, "m": 9.11e-28, "r0": [-1, 0, 0], "v0": [100000000, 0, 0]},
+    "geometry": {"exit_plane_x": 1, "source_anchor": [0, 0, 0],
+                 "approach_direction": [0, 1, 0]},
+    "cages": {"transit_time": 1e-8, "potential_upper": 0, "potential_lower": 0},
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _fingerprint(argv, out):
+    """SHA-256 prefixes of the record's payload text and of its scan table."""
+    assert main([*argv, "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    table = out.with_suffix(".scan.tsv")
+    return (_digest(json.dumps(payload, sort_keys=True, indent=2) + "\n"),
+            _digest(table.read_text()) if table.exists() else None)
+
+
+def _pin_cases():
+    for scenario in PIN_SUBCOMMANDS:
+        for seed in PIN_SEEDS:
+            yield f"{scenario}/subcommand/{seed}"
+            yield f"{scenario}/run/{seed}"
+    yield "field_scan_electric/integers/7"
+    for scenario in ("ev_bomb", "field_scan_electric", "field_scan_magnetic", "zeno"):
+        yield f"{scenario}/run-trials/7"
+
+
+def _run_pin_case(case, tmp_path):
+    scenario, route, seed = case.split("/")
+    out = tmp_path / "out.json"
+    if route == "subcommand":
+        argv = [*PIN_SUBCOMMANDS[scenario], "--seed", seed]
+    else:
+        params = PIN_INTEGER_SCAN if route == "integers" else PIN_RUN_PARAMETERS[scenario]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "seed": int(seed),
+                                   "parameters": params}))
+        argv = ["run", str(cfg)] + (["--trials", "500"] if route == "run-trials" else [])
+    return _fingerprint(argv, out)
+
+
+PINNED_FINGERPRINTS = {
+    "ev_bomb/subcommand/1": ("fdc1e895f6fea179", None),
+    "ev_bomb/run/1": ("5f889b8754d398a3", None),
+    "ev_bomb/subcommand/7": ("c9eac572e7b5018c", None),
+    "ev_bomb/run/7": ("e9a1267c72a5c3bd", None),
+    "ev_bomb/subcommand/42": ("c2dbea5b802ff3dc", None),
+    "ev_bomb/run/42": ("06b0529cd91d4e09", None),
+    "zeno/subcommand/1": ("1d08394727b1eb5a", None),
+    "zeno/run/1": ("235daac434d29f68", None),
+    "zeno/subcommand/7": ("a7c42e8c031d3d1c", None),
+    "zeno/run/7": ("993b303f369a1501", None),
+    "zeno/subcommand/42": ("786f3d6fd5b3103c", None),
+    "zeno/run/42": ("df4066e9413c6a58", None),
+    "matter_null/subcommand/1": ("6fe2e68112bba384", None),
+    "matter_null/run/1": ("c81a02eb9cbf8b9e", None),
+    "matter_null/subcommand/7": ("8d600d734d4552da", None),
+    "matter_null/run/7": ("7cfb4032fdbfe6fe", None),
+    "matter_null/subcommand/42": ("4cf676f926381864", None),
+    "matter_null/run/42": ("8d56e4f7ec3cedcb", None),
+    "field_scan_electric/subcommand/1": ("131805451f09cfa7", "1bcd89cfcd514e24"),
+    "field_scan_electric/run/1": ("b88f4e360a9dd949", "b181760a16bf04ba"),
+    "field_scan_electric/subcommand/7": ("b924b877b43c9164", "febdbd487562459a"),
+    "field_scan_electric/run/7": ("20637970bb821b9a", "04d3cbec2d1fa632"),
+    "field_scan_electric/subcommand/42": ("1065cdb2d587f2a7", "1bcd89cfcd514e24"),
+    "field_scan_electric/run/42": ("ea703a138684cd03", "d6500f7f359429c0"),
+    "field_scan_magnetic/subcommand/1": ("e69306f5c7322b04", "932f6fbc4d6abcae"),
+    "field_scan_magnetic/run/1": ("f0467e2d9f24921e", "53924f3c9f07aa60"),
+    "field_scan_magnetic/subcommand/7": ("ddffec13648c14cd", "20e449556faaf60f"),
+    "field_scan_magnetic/run/7": ("ebca4f542a66e18a", "ff305a1207f7f4f0"),
+    "field_scan_magnetic/subcommand/42": ("568caa7f9688fef5", "932f6fbc4d6abcae"),
+    "field_scan_magnetic/run/42": ("c51878114cc73e21", "524306e785335fce"),
+    "gravity_deflection/subcommand/1": ("e1455bb4be91ca26", None),
+    "gravity_deflection/run/1": ("dcd7bcdd533bc501", None),
+    "gravity_deflection/subcommand/7": ("af2e7cdfa56660af", None),
+    "gravity_deflection/run/7": ("2960ec58f53d09e8", None),
+    "gravity_deflection/subcommand/42": ("b9261898c354e04e", None),
+    "gravity_deflection/run/42": ("e609b3c0bc7891b4", None),
+    "field_scan_electric/integers/7": ("e9f107f523438e4e", "8c372f6a0b0fcbb7"),
+    "ev_bomb/run-trials/7": ("7865342c57066adc", None),
+    "field_scan_electric/run-trials/7": ("45284fd45e7fb8a1", "21f295963cf50110"),
+    "field_scan_magnetic/run-trials/7": ("c1a7ef5c1d7bd696", "3a8bc9906582db1f"),
+    "zeno/run-trials/7": ("993b303f369a1501", None),
+}
+
+
+@pytest.mark.parametrize("case", list(_pin_cases()))
+def test_payload_and_scan_table_pinned(case, tmp_path):
+    assert _run_pin_case(case, tmp_path) == PINNED_FINGERPRINTS[case]
+
+
+def _parser_surface():
+    from ifmsim.cli import build_parser
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+    surface = {}
+    for name, sub in subparsers.choices.items():
+        surface[name] = [
+            (tuple(a.option_strings) or a.dest, a.default, a.required,
+             tuple(a.choices) if a.choices else None, getattr(a.type, "__name__", None))
+            for a in sub._actions if a.dest != "help"
+        ]
+    return surface
+
+
+PINNED_PARSER_SURFACE = {
+    "run": [
+        ("config", None, True, None, None),
+        (("--seed",), None, False, None, "int"),
+        (("--output",), None, False, None, None),
+        (("--trials",), None, False, None, "int"),
+    ],
+    "ev-bomb": [
+        (("--object-present", "--no-object-present"), True, False, None, None),
+        (("--object-arm",), "upper", False, ("upper", "lower"), None),
+        (("--arm-phase",), 0.0, False, None, "float"),
+        (("--trials",), 100000, False, None, "int"),
+        (("--seed",), 0, False, None, "int"),
+        (("--output",), None, False, None, None),
+    ],
+    "zeno": [
+        (("--cycles",), None, True, None, "int"),
+        (("--object-present", "--no-object-present"), True, False, None, None),
+        (("--seed",), 0, False, None, "int"),
+        (("--output",), None, False, None, None),
+    ],
+    "matter-null": [
+        (("--grating-p",), 0.3333333333333333, False, None, "float"),
+        (("--arm-extra-phase",), 0.0, False, None, "float"),
+        (("--seed",), 0, False, None, "int"),
+        (("--output",), None, False, None, None),
+    ],
+    "field-scan-electric": [
+        (("--source-charge",), None, True, None, "float"),
+        (("--phi-c",), None, False, None, "float"),
+        (("--positions",), None, False, None, None),
+        (("--trials",), None, False, None, "int"),
+        (("--cage-dv",), 0.0, False, None, "float"),
+        (("--seed",), 0, False, None, "int"),
+        (("--output",), None, False, None, None),
+    ],
+    "field-scan-magnetic": [
+        (("--field-strength",), None, True, None, "float"),
+        (("--enclosed-flux",), 0.0, False, None, "float"),
+        (("--phi-c",), None, False, None, "float"),
+        (("--positions",), None, False, None, None),
+        (("--trials",), None, False, None, "int"),
+        (("--seed",), 0, False, None, "int"),
+        (("--output",), None, False, None, None),
+    ],
+    "gravity-deflection": [
+        (("--mass",), None, False, None, "float"),
+        (("--impact-parameter",), None, False, None, "float"),
+        (("--target-deflection",), None, False, None, "float"),
+        (("--density",), None, False, None, "float"),
+        (("--seed",), 0, False, None, "int"),
+        (("--output",), None, False, None, None),
+    ],
+}
+
+
+def test_parser_surface_pinned():
+    assert _parser_surface() == PINNED_PARSER_SURFACE

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -208,18 +209,18 @@ class TestIntegrateTrajectory:
         with pytest.raises(ValueError):
             integrate_trajectory(particle, src, 0.5, 1e-11)
 
-    def test_bounding_box_termination(self):
-        e0 = 5e-3  # strong transverse push
-        box = UniformERegion(E=[0, e0, 0], box_min=[-1, -1, -1], box_max=[2, 1, 1])
-        result = integrate_trajectory(
-            beam_particle(q=abs(ELECTRON_Q)),
-            box,
-            0.5,
-            1e-11,
-            bounds=([-1.0, -0.01, -1.0], [1.0, 0.01, 1.0]),
-        )
-        assert result.termination == "bounds"
-        assert abs(result.r_final[1]) > 0.01
+    @pytest.mark.parametrize(
+        "position", [[0.0, 0.0, 0.0], [0.0, 3e-7, 0.0], [0.2, 0.0, -1e-7]]
+    )
+    def test_launch_at_the_charge_cannot_step_over_it(self, position):
+        # A step starting 6e-4 cm short of the charge lands beyond it; only
+        # the segment test sees the crossing (a start-point test ran 2M steps).
+        start = time.perf_counter()
+        with pytest.raises(SingularityError):
+            integrate_trajectory(
+                beam_particle(), PointCharge(q=5e-6, position=position), 0.5, 1e-11
+            )
+        assert time.perf_counter() - start < 1.0
 
     def test_samples_match_recorded_digest(self):
         """t, r and v of a fixed Coulomb pass, pinned bit for bit."""

@@ -1,6 +1,7 @@
 """Cage calibration, phase corrections, trial counts, and the discrete scan."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +204,28 @@ class TestRequiredTrials:
             assert 1.0 - (1.0 - p) ** m >= conf
             if m > 1:
                 assert 1.0 - (1.0 - p) ** (m - 1) < conf
+
+
+    @pytest.mark.parametrize(
+        "p, conf, expected",
+        [(0.25, 0.999, 25), (1 / 9, 0.999, 59), (1e-3, 0.99, 4603), (0.3, 0.5, 2),
+         (0.999, 0.999999, 2), (1e-5, 0.9999, 921030), (1e-6, 0.999, 6907752)],
+    )
+    def test_counts_recorded_before_the_expm1_form(self, p, conf, expected):
+        assert required_trials(p, conf) == expected
+
+    @pytest.mark.parametrize("p", [1e-10, 1e-12, 1e-15])
+    def test_tiny_probability_is_fast_and_minimal(self, p):
+        # 1 - p rounds to 1 here; stepping m by 1 on (1 - p)**m never ended.
+        start = time.perf_counter()
+        m = required_trials(p, 0.999)
+        assert time.perf_counter() - start < 0.01
+        assert -math.expm1(m * math.log1p(-p)) >= 0.999
+        assert -math.expm1((m - 1) * math.log1p(-p)) < 0.999
+
+    def test_subnormal_probability_rejected(self):
+        with pytest.raises(ValueError):
+            required_trials(5e-324, 0.999)
 
 
 class TestScanConfigValidation:
