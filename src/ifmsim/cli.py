@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, runners
-from .photon_mz import ARMS
+from .photon_mz import ARMS, MAX_CYCLES
 from .records import ResultRecord, make_metadata, record_text, scan_table_text
 
 MAX_SEED = 2**64 - 1
@@ -251,12 +251,14 @@ def emit_config(config: ScenarioConfig) -> str:
 
 
 def _check_gravity(p: dict) -> list[str]:
-    """The two gravity modes: mass with impact_parameter, and/or delta_phi."""
+    """The two gravity modes: mass with impact_parameter, and/or delta_phi with optional density."""
     if ("mass" in p) != ("impact_parameter" in p):
         missing = "mass" if "impact_parameter" in p else "impact_parameter"
         return [f"parameters.{missing}: required key is missing"]
     if "mass" not in p and "delta_phi" not in p:
         return ["parameters: provide mass+impact_parameter and/or delta_phi (with optional density)"]
+    if "density" in p and "delta_phi" not in p:
+        return ["parameters.density: only used with delta_phi, which is missing"]
     return []
 
 
@@ -404,7 +406,7 @@ SCENARIO_TABLE = {
     "zeno": Scenario(
         help="N-cycle repeated-interrogation bomb test",
         params={
-            "n_cycles": Param("int", required=True, low=1),
+            "n_cycles": Param("int", required=True, low=1, high=MAX_CYCLES),
             "object_present": Param("bool", required=True),
         },
         flags=(Flag("--cycles", "n_cycles", type=int, required=True), _OBJECT_PRESENT),
@@ -462,7 +464,8 @@ SCENARIO_TABLE = {
             "mass": Param("number", low=0.0),
             "impact_parameter": Param("number", above=0.0),
             "delta_phi": Param("number", above=0.0),
-            "density": Param("number", runners.IRIDIUM_DENSITY, above=0.0),
+            # No spec default, so _check_gravity sees whether density was written.
+            "density": Param("number", above=0.0),
         },
         flags=(
             Flag("--mass", "mass", type=float, help="g"),
@@ -494,7 +497,8 @@ def run_scenario(config: ScenarioConfig) -> ResultRecord:
 # ---------------------------------------------------------------------------
 
 
-def _write_outputs(record: ResultRecord, output_path: str | None) -> None:
+def _write_outputs(record: ResultRecord, output_path: str | None) -> int:
+    """Print the summary and write the record; 1 when a file cannot be written."""
     payload = record.payload
     print(f"scenario: {payload['scenario']}   seed: {payload['seed']}")
     for line in SCENARIO_TABLE[payload["scenario"]].summary(payload["results"]):
@@ -503,15 +507,21 @@ def _write_outputs(record: ResultRecord, output_path: str | None) -> None:
         print(record_text(record), end="")
         if record.scan_rows:
             print(scan_table_text(record.scan_rows), end="")
-        return
+        return 0
     path = Path(output_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(record_text(record))
-    print(f"record written to {path}")
-    if record.scan_rows is not None:
-        table_path = path.with_suffix(".scan.tsv")
-        table_path.write_text(scan_table_text(record.scan_rows))
-        print(f"scan table written to {table_path}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(record_text(record))
+        print(f"record written to {path}")
+        if record.scan_rows is not None:
+            table_path = path.with_suffix(".scan.tsv")
+            table_path.write_text(scan_table_text(record.scan_rows))
+            print(f"scan table written to {table_path}")
+    except OSError as exc:
+        print(f"error [{payload['scenario']}]: cannot write {exc.filename or path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,8 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # simulation failures map to a distinct exit code
         print(f"error [{config.scenario}]: {exc}", file=sys.stderr)
         return 1
-    _write_outputs(record, config.output_path)
-    return 0
+    return _write_outputs(record, config.output_path)
 
 
 if __name__ == "__main__":

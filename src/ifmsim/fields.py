@@ -2,20 +2,21 @@
 
 Everything is in Gaussian CGS units: lengths in cm, time in s, mass in g,
 charge in statC, electric field in statV/cm, magnetic field in gauss, force
-in dyne.  The Lorentz force carries the symmetrized magnetic term
+in dyne.  Every formula reads the fixed constants :data:`CGS`; no function
+takes others.  The Lorentz force carries the symmetrized magnetic term
 F = q[E + (v x B - B x v)/(2c)], which reduces to q[E + (v x B)/c] for
 classical vectors; the implementation keeps the symmetrized form and the test
 suite pins the identity.
 
 Trajectories are integrated with classical fixed-step RK4 until the particle
-crosses a configured exit plane (the second-grating plane) or leaves a
-bounding box; the deflection angle is the angle between the initial and final
-velocity.  A point charge's deflection also has a closed form, the exact
-Kepler/Rutherford orbit (:func:`coulomb_deflection`).  Brent's root-finder,
-seeded with the bracketing pair from a coarse monotonicity scan, inverts
-deflection-vs-distance to the critical source distance for a given threshold
-angle; for a point charge it inverts the exact orbit, so the critical
-distance is exact to its tolerance, while the protocol's scan rows stay RK4.
+crosses a configured exit plane (the second-grating plane); the deflection
+angle is the angle between the initial and final velocity.  A point charge's
+deflection also has a closed form, the exact Kepler/Rutherford orbit
+(:func:`coulomb_deflection`).  Brent's root-finder, seeded with the bracketing
+pair from a coarse five-sample monotonicity scan, inverts deflection-vs-distance
+to the critical source distance for a given threshold angle; for a point
+charge it inverts the exact orbit, so the critical distance is exact to its
+tolerance, while the protocol's scan rows stay RK4.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class PhysicalConstants:
     c: float = 3.00e10
     G: float = 6.67e-8
     hbar: float = 1.0546e-27
-
-    def __post_init__(self) -> None:
-        if self.c <= 0 or self.G <= 0 or self.hbar <= 0:
-            raise ValueError("physical constants must be strictly positive")
 
 
 CGS = PhysicalConstants()
@@ -68,18 +65,12 @@ class PointCharge:
             raise ValueError("charge must be finite")
 
 
-@dataclass(frozen=True, eq=False)
-class UniformBRegion:
-    """Constant magnetic field B (gauss) inside an axis-aligned box (cm)."""
-
-    B: np.ndarray
-    box_min: np.ndarray
-    box_max: np.ndarray
+class _BoxRegion:
+    """Uniform field inside an axis-aligned box: every field is a 3-vector."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "B", _vec3(self.B, "B"))
-        object.__setattr__(self, "box_min", _vec3(self.box_min, "box_min"))
-        object.__setattr__(self, "box_max", _vec3(self.box_max, "box_max"))
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _vec3(getattr(self, f.name), f.name))
         if not np.all(self.box_max > self.box_min):
             raise ValueError("field region box must have positive extent")
 
@@ -90,7 +81,16 @@ class UniformBRegion:
 
 
 @dataclass(frozen=True, eq=False)
-class UniformERegion:
+class UniformBRegion(_BoxRegion):
+    """Constant magnetic field B (gauss) inside an axis-aligned box (cm)."""
+
+    B: np.ndarray
+    box_min: np.ndarray
+    box_max: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class UniformERegion(_BoxRegion):
     """Constant electric field E (statV/cm) inside an axis-aligned box (cm).
 
     Companion of :class:`UniformBRegion`; used for constant-force checks and
@@ -100,17 +100,6 @@ class UniformERegion:
     E: np.ndarray
     box_min: np.ndarray
     box_max: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "E", _vec3(self.E, "E"))
-        object.__setattr__(self, "box_min", _vec3(self.box_min, "box_min"))
-        object.__setattr__(self, "box_max", _vec3(self.box_max, "box_max"))
-        if not np.all(self.box_max > self.box_min):
-            raise ValueError("field region box must have positive extent")
-
-    @property
-    def position(self) -> np.ndarray:
-        return 0.5 * (self.box_min + self.box_max)
 
 
 FieldSource = PointCharge | UniformBRegion | UniformERegion
@@ -156,15 +145,13 @@ class TrajectoryResult:
     """Sampled classical path plus the extracted deflection angle.
 
     ``t`` is strictly increasing; ``r`` and ``v`` are (n, 3) arrays sampled at
-    those times.  ``termination`` records why integration stopped:
-    "exit_plane".
+    those times, the last on the exit plane.
     """
 
     t: np.ndarray
     r: np.ndarray
     v: np.ndarray
     deflection_angle: float
-    termination: str
 
     @property
     def r_final(self) -> np.ndarray:
@@ -191,9 +178,7 @@ class ProtocolError(RuntimeError):
     """Deflection-vs-distance is not monotone where the protocol requires it."""
 
 
-def eval_fields(
-    source: FieldSource, r, constants: PhysicalConstants = CGS
-) -> tuple[np.ndarray, np.ndarray]:
+def eval_fields(source: FieldSource, r) -> tuple[np.ndarray, np.ndarray]:
     """Electric and magnetic field of ``source`` at point ``r`` (cm).
 
     Returns (E, B) in (statV/cm, gauss).  Evaluation exactly at a point
@@ -216,7 +201,7 @@ def eval_fields(
     raise TypeError(f"unsupported field source {type(source).__name__}")
 
 
-def lorentz_force(q: float, v, E, B, constants: PhysicalConstants = CGS) -> np.ndarray:
+def lorentz_force(q: float, v, E, B) -> np.ndarray:
     """Symmetrized Lorentz force F = q[E + (v x B - B x v)/(2c)] in dyne.
 
     For classical 3-vectors the magnetic term equals q (v x B)/c; the
@@ -225,10 +210,10 @@ def lorentz_force(q: float, v, E, B, constants: PhysicalConstants = CGS) -> np.n
     v = _vec3(v, "v")
     E = _vec3(E, "E")
     B = _vec3(B, "B")
-    return q * (E + (np.cross(v, B) - np.cross(B, v)) / (2.0 * constants.c))
+    return q * (E + (np.cross(v, B) - np.cross(B, v)) / (2.0 * CGS.c))
 
 
-def _acceleration_fn(particle: TestParticle, source: FieldSource, constants: PhysicalConstants):
+def _acceleration_fn(particle: TestParticle, source: FieldSource):
     """Specialized scalar acceleration a(r, v) for the RK4 hot loop.
 
     Each branch is the scalar expansion of lorentz_force(q, v,
@@ -258,7 +243,7 @@ def _acceleration_fn(particle: TestParticle, source: FieldSource, constants: Phy
 
         return accel
     if isinstance(source, UniformBRegion):
-        s = qm / constants.c
+        s = qm / CGS.c
         bx, by, bz = (float(c) for c in source.B)
         lx, ly, lz = (float(c) for c in source.box_min)
         hx, hy, hz = (float(c) for c in source.box_max)
@@ -288,7 +273,6 @@ def integrate_trajectory(
     exit_plane_x: float,
     dt: float,
     *,
-    constants: PhysicalConstants = CGS,
     max_steps: int = 2_000_000,
     singularity_cutoff: float = 1e-6,
 ) -> TrajectoryResult:
@@ -309,7 +293,7 @@ def integrate_trajectory(
     if vx * direction <= 0.0 or (exit_plane_x - x) * direction <= 0.0:
         raise ValueError("particle must start before the exit plane, moving toward it")
 
-    accel = _acceleration_fn(particle, source, constants)
+    accel = _acceleration_fn(particle, source)
     guard_point = isinstance(source, PointCharge)
     if guard_point:
         gx, gy, gz = (float(c) for c in source.position)
@@ -390,7 +374,6 @@ def integrate_trajectory(
         r=samples[:, 1:4],
         v=samples[:, 4:7],
         deflection_angle=_deflection_between(particle.v0, v_final),
-        termination="exit_plane",
     )
 
 
@@ -554,8 +537,6 @@ def deflection_at_distance(
     geometry: BeamGeometry,
     distance: float,
     dt: float,
-    *,
-    constants: PhysicalConstants = CGS,
 ) -> float:
     """Deflection angle with the source placed ``distance`` cm from the beam.
 
@@ -567,8 +548,7 @@ def deflection_at_distance(
     source = with_position(source_template, geometry.source_position(distance))
     if isinstance(source, PointCharge):
         return coulomb_deflection(particle, source, geometry.exit_plane_x)
-    result = integrate_trajectory(particle, source, geometry.exit_plane_x, dt, constants=constants)
-    return result.deflection_angle
+    return integrate_trajectory(particle, source, geometry.exit_plane_x, dt).deflection_angle
 
 
 def critical_distance(
@@ -579,39 +559,33 @@ def critical_distance(
     bracket: tuple[float, float],
     dt: float,
     *,
-    constants: PhysicalConstants = CGS,
     rel_tol: float = 1e-6,
-    monotonicity_samples: int = 5,
 ) -> float:
     """Source distance at which the deflection angle equals ``phi_c``.
 
     Deflection must decrease monotonically with distance over ``bracket`` =
-    (near, far): a coarse scan of ``monotonicity_samples`` evenly spaced
-    distances checks that, and that the bracket straddles ``phi_c``.  The
-    adjacent pair of scan samples that straddles ``phi_c`` then seeds Brent's
-    method (R. P. Brent, *Algorithms for Minimization without Derivatives*,
-    1973, ch. 4), which mixes inverse quadratic interpolation, secant steps
-    and bisection while always keeping the root bracketed.  It stops once the
-    half-bracket is at most 0.25 * ``rel_tol`` * |b|, where b is the current
-    estimate, so the returned distance lies within 0.5 * ``rel_tol`` * d of
-    the root d (``rel_tol`` is floored at 8 machine epsilons).  If ``phi_c``
-    equals a sample's deflection exactly, that sample's distance is returned
-    without further evaluation.  Each deflection comes from
+    (near, far): a coarse scan of five evenly spaced distances checks that,
+    and that the bracket straddles ``phi_c``.  The adjacent pair of scan
+    samples that straddles ``phi_c`` then seeds Brent's method (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4), which
+    mixes inverse quadratic interpolation, secant steps and bisection while
+    always keeping the root bracketed.  It stops once the half-bracket is at
+    most 0.25 * ``rel_tol`` * |b|, where b is the current estimate, so the
+    returned distance lies within 0.5 * ``rel_tol`` * d of the root d
+    (``rel_tol`` is floored at 8 machine epsilons).  If ``phi_c`` equals a
+    sample's deflection exactly, that sample's distance is returned without
+    further evaluation.  Each deflection comes from
     :func:`deflection_at_distance`: the exact orbit for a point charge, RK4
     for a box source.
     """
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < near < far, got {bracket}")
-    if monotonicity_samples < 2:
-        raise ValueError(f"monotonicity_samples must be at least 2, got {monotonicity_samples}")
 
     def deflection(d: float) -> float:
-        return deflection_at_distance(
-            particle, source_template, geometry, d, dt, constants=constants
-        )
+        return deflection_at_distance(particle, source_template, geometry, d, dt)
 
-    samples = [float(d) for d in np.linspace(lo, hi, monotonicity_samples)]
+    samples = [float(d) for d in np.linspace(lo, hi, 5)]
     angles = [deflection(d) for d in samples]
     slack = 1e-12 * max(angles)
     for a, b in zip(angles, angles[1:]):
@@ -673,7 +647,7 @@ def critical_distance(
         fb = deflection(b) - phi_c
 
 
-def light_deflection(M: float, b: float, constants: PhysicalConstants = CGS) -> float:
+def light_deflection(M: float, b: float) -> float:
     """First-order bending angle 4GM/(b c^2) of a light ray passing a mass.
 
     M in g, impact parameter b in cm; returns radians.
@@ -682,12 +656,10 @@ def light_deflection(M: float, b: float, constants: PhysicalConstants = CGS) -> 
         raise ValueError("impact parameter must be positive")
     if M < 0:
         raise ValueError("mass must be nonnegative")
-    return 4.0 * constants.G * M / (b * constants.c**2)
+    return 4.0 * CGS.G * M / (b * CGS.c**2)
 
 
-def sphere_radius_for_deflection(
-    delta_phi: float, density: float, constants: PhysicalConstants = CGS
-) -> float:
+def sphere_radius_for_deflection(delta_phi: float, density: float) -> float:
     """Radius of a uniform sphere whose grazing rays bend by ``delta_phi``.
 
     Inverts delta_phi = (16/3) pi G rho R^2 / c^2 (mass (4/3) pi R^3 rho at
@@ -697,4 +669,4 @@ def sphere_radius_for_deflection(
         raise ValueError("target deflection must be positive")
     if density <= 0:
         raise ValueError("density must be positive")
-    return math.sqrt(3.0 * delta_phi * constants.c**2 / (16.0 * math.pi * constants.G * density))
+    return math.sqrt(3.0 * delta_phi * CGS.c**2 / (16.0 * math.pi * CGS.G * density))

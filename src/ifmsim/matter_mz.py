@@ -72,8 +72,6 @@ class InterferometerModel:
     g3: GratingSpec
     third_grating_phase: float = 0.0
     arm_extra_phase: float = 0.0
-    path_upper: tuple[str, str] = ("g1:+1", "g2:-1")
-    path_lower: tuple[str, str] = ("g1:0", "g2:+1")
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.third_grating_phase < _TWO_PI:

@@ -22,12 +22,13 @@ The repeated-interrogation variant (:func:`zeno_ifm_distribution`) is the
 standard N-cycle scheme of Kwiat et al., Phys. Rev. Lett. 74, 4763 (1995):
 per cycle the photon polarization is rotated by pi/(2N) and, when the object
 is present, the rotated component is absorbed.  It is evaluated in closed
-form for any N; the object-present success probability cos^(2N)(pi/(2N))
-approaches 1 for large N.
+form for any N up to :data:`MAX_CYCLES`; the object-present success
+probability cos^(2N)(pi/(2N)) approaches 1 for large N.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,10 @@ OUTCOME_ABSORBED = "absorbed"
 # Balanced splitter acting on (upper, lower): transmission sqrt(1/2),
 # reflection i*sqrt(1/2).
 SPLITTER = np.sqrt(0.5) * np.array([[1, 1j], [1j, 1]])
+
+# Largest Zeno cycle count.  The closed form computes with N as a float, which
+# is exact up to 2**53; at 2**1023, 2N overflows and the result is NaN.
+MAX_CYCLES = 2**53
 
 
 @dataclass(frozen=True)
@@ -68,24 +73,28 @@ class EvSetup:
             raise ValueError(f"arm_phase must be finite, got {self.arm_phase}")
 
 
-@dataclass(frozen=True)
-class EvDistribution:
-    """Exact outcome distribution of a single bomb-test trial."""
-
-    p_light_detector: float
-    p_dark_detector: float
-    p_absorbed: float
+class _Distribution:
+    """Outcome probabilities, each in [0, 1] and summing to 1, both within 1e-12."""
 
     def __post_init__(self) -> None:
-        parts = (self.p_light_detector, self.p_dark_detector, self.p_absorbed)
-        if any(p < -1e-12 or p > 1.0 + 1e-12 for p in parts):
+        parts = tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+        if not all(-1e-12 <= p <= 1.0 + 1e-12 for p in parts):  # NaN fails too
             raise ValueError(f"probabilities out of range: {parts}")
         if abs(sum(parts) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {sum(parts)}, expected 1")
 
 
 @dataclass(frozen=True)
-class ZenoDistribution:
+class EvDistribution(_Distribution):
+    """Exact outcome distribution of a single bomb-test trial."""
+
+    p_light_detector: float
+    p_dark_detector: float
+    p_absorbed: float
+
+
+@dataclass(frozen=True)
+class ZenoDistribution(_Distribution):
     """Outcome distribution of an N-cycle repeated-interrogation run.
 
     ``p_success_detect`` is the probability of detecting the object without
@@ -96,13 +105,6 @@ class ZenoDistribution:
     p_success_detect: float
     p_absorbed: float
     p_inconclusive: float
-
-    def __post_init__(self) -> None:
-        parts = (self.p_success_detect, self.p_absorbed, self.p_inconclusive)
-        if any(p < -1e-12 or p > 1.0 + 1e-12 for p in parts):
-            raise ValueError(f"probabilities out of range: {parts}")
-        if abs(sum(parts) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {sum(parts)}, expected 1")
 
 
 def _port_probabilities(setup: EvSetup) -> tuple[float, float, float]:
@@ -153,11 +155,11 @@ def zeno_ifm_distribution(n_cycles: int, object_present: bool) -> ZenoDistributi
     cos^(2N)(pi/(2N)) (Kwiat et al., PRL 74, 4763, 1995); otherwise the
     photon was absorbed.  Without the object the photon ends fully rotated
     (inconclusive).  The success probability is evaluated in O(1) for any N
-    as exp(2N * log1p(-2 sin^2(pi/(4N)))), which keeps full relative
-    precision where cos(pi/(2N)) rounds close to 1.
+    in [1, :data:`MAX_CYCLES`] as exp(2N * log1p(-2 sin^2(pi/(4N)))), which
+    keeps full relative precision where cos(pi/(2N)) rounds close to 1.
     """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be at least 1")
+    if not 1 <= n_cycles <= MAX_CYCLES:
+        raise ValueError("n_cycles must lie in [1, 2**53]")
     if not object_present:
         return ZenoDistribution(p_success_detect=0.0, p_absorbed=0.0, p_inconclusive=1.0)
     s = math.sin(math.pi / (4.0 * n_cycles))

@@ -14,6 +14,9 @@ while the detected particle itself rode the untouched lower path.
 Source positions change only between trials, never while a particle is in
 flight, so the scan never induces time-varying fields: this is structural
 (each position is a constant of its block of trials).
+
+Phases and fields use the fixed Gaussian CGS constants :data:`fields.CGS`;
+no function takes others.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .fields import (
     CGS,
     BeamGeometry,
     FieldSource,
-    PhysicalConstants,
     ProtocolError,
     TestParticle,
     closest_approach_point,
@@ -78,32 +80,25 @@ class CalibrationResult:
     null: NullSolution
 
 
-def potential_phase(
-    q: float, delta_V: float, transit_time: float, constants: PhysicalConstants = CGS
-) -> float:
+def potential_phase(q: float, delta_V: float, transit_time: float) -> float:
     """Phase -q*dV*T/hbar picked up in a region of uniform potential, mod 2*pi.
 
     q in statC, delta_V in statV, transit_time in s; returns radians in
     [0, 2*pi).
     """
-    return wrap_phase(-q * delta_V * transit_time / constants.hbar)
+    return wrap_phase(-q * delta_V * transit_time / CGS.hbar)
 
 
-def ab_phase(q: float, flux: float, constants: PhysicalConstants = CGS) -> float:
+def ab_phase(q: float, flux: float) -> float:
     """Phase q*flux/(hbar*c) from magnetic flux enclosed between the paths, mod 2*pi.
 
     Acquired through the vector potential even where the field itself
     vanishes along both paths.
     """
-    return wrap_phase(q * flux / (constants.hbar * constants.c))
+    return wrap_phase(q * flux / (CGS.hbar * CGS.c))
 
 
-def calibrate(
-    model: InterferometerModel,
-    setup: CalibrationSetup,
-    q: float,
-    constants: PhysicalConstants = CGS,
-) -> CalibrationResult:
+def calibrate(model: InterferometerModel, setup: CalibrationSetup, q: float) -> CalibrationResult:
     """Null the detector for the phase environment described by ``setup``.
 
     The relative phase is carried on the lower path (matching the model's
@@ -114,8 +109,7 @@ def calibrate(
     """
     delta_v = setup.cage_potential_lower - setup.cage_potential_upper
     arm = wrap_phase(
-        potential_phase(q, delta_v, setup.transit_time, constants)
-        + ab_phase(q, setup.enclosed_flux, constants)
+        potential_phase(q, delta_v, setup.transit_time) + ab_phase(q, setup.enclosed_flux)
     )
     adjusted = dataclasses.replace(model, arm_extra_phase=arm)
     null = solve_ideal_offset(adjusted)
@@ -219,9 +213,9 @@ class ScanResult:
     detected_v_final: np.ndarray | None
 
 
-def field_magnitude_at(source: FieldSource, point, constants: PhysicalConstants = CGS) -> float:
+def field_magnitude_at(source: FieldSource, point) -> float:
     """Magnitude of the source's field (|E| + |B|; one of them is zero) at a point."""
-    E, B = eval_fields(source, point, constants)
+    E, B = eval_fields(source, point)
     return float(np.linalg.norm(E) + np.linalg.norm(B))
 
 
@@ -230,7 +224,6 @@ def run_field_scan(
     source_template: FieldSource,
     particle: TestParticle,
     config: ScanConfig,
-    constants: PhysicalConstants = CGS,
 ) -> ScanResult:
     """Execute the discrete scan on a calibrated interferometer.
 
@@ -253,9 +246,7 @@ def run_field_scan(
     previous_magnitude = None
     for k, distance in enumerate(config.positions):
         source = with_position(source_template, config.geometry.source_position(distance))
-        trajectory = integrate_trajectory(
-            particle, source, config.geometry.exit_plane_x, config.dt, constants=constants
-        )
+        trajectory = integrate_trajectory(particle, source, config.geometry.exit_plane_x, config.dt)
         deflection = trajectory.deflection_angle
         if previous_deflection is not None and deflection < previous_deflection - 1e-12:
             raise ProtocolError(
@@ -265,7 +256,7 @@ def run_field_scan(
         previous_deflection = deflection
 
         approach = closest_approach_point(particle.r0, particle.v0, source.position)
-        magnitude = field_magnitude_at(source, approach, constants)
+        magnitude = field_magnitude_at(source, approach)
 
         blocked = deflection > config.phi_c
         p_detect = p_blocked if blocked else p_null

@@ -3,7 +3,8 @@
 Each runner returns ``(body, rows)``: ``body`` holds the ``parameters`` the
 payload echoes and the ``results``; ``rows`` are the per-position scan rows,
 or None.  The parameter blocks are the CLI's, with every left-out key already
-at its default (see ``cli.SCENARIO_TABLE``).  Each ``*_summary`` turns a
+at its default (see ``cli.SCENARIO_TABLE``); only the gravity ``density``
+defaults here, to ``IRIDIUM_DENSITY``.  Each ``*_summary`` turns a
 payload's results into the lines printed after a run.
 """
 
@@ -225,7 +226,7 @@ def gravity_deflection(p: dict, seed: int) -> tuple[dict, None]:
         results["deflection_rad"] = light_deflection(mass, b)
     if "delta_phi" in p:
         delta_phi = float(p["delta_phi"])
-        density = float(p["density"])
+        density = float(p.get("density", IRIDIUM_DENSITY))
         radius_cm = sphere_radius_for_deflection(delta_phi, density)
         radius_km = radius_cm / 1.0e5
         sphere_mass = 4.0 / 3.0 * np.pi * radius_cm**3 * density
@@ -277,7 +278,7 @@ def field_scan_summary(results: dict) -> list[str]:
         lines.append(
             f"detection at distance {scan['first_detecting_position']:.6g} cm; "
             f"field bound {scan['field_bound']:.6g} "
-            f"(step error {error if error is not None else 'n/a'})"
+            f"(step error {'n/a' if error is None else format(error, '.6g')})"
         )
     else:
         lines.append("no detection: field too weak over the scanned positions")

@@ -93,6 +93,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"scenario": "gravity_deflection", "seed": 0, "parameters": {}})
 
+    def test_gravity_density_needs_delta_phi(self, capsys):
+        # density only sizes the delta_phi sphere; it used to be dropped silently.
+        argv = ["gravity-deflection", "--mass", "1e30", "--impact-parameter", "1e9"]
+        assert main([*argv, "--density", "3"]) == 2
+        assert "parameters.density: " in capsys.readouterr().err
+        assert main(argv) == 0
+
+    def test_gravity_density_defaults_to_iridium(self):
+        record = run_scenario(make_config("gravity_deflection", 0, {"delta_phi": 1e-9}))
+        assert record.payload["parameters"]["density"] == 22.6
+
 
 def random_config(rng: np.random.Generator) -> ScenarioConfig:
     scenario = rng.choice(
@@ -229,6 +240,19 @@ class TestMainExitCodes:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        # The output path is a directory: one error line, no traceback.
+        assert main(["zeno", "--cycles", "4", "--seed", "1", "--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [zeno]: cannot write {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    def test_field_scan_summary_formats_step_error(self, capsys):
+        argv = ["field-scan-electric", "--source-charge", "5e-6", "--cage-dv", "0.01"]
+        assert main([*argv, "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "detection at distance 0.2 cm; field bound 0.000125 (step error 4.5e-05)"
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # Valid configuration whose unequal path weights make a perfect null

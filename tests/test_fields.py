@@ -118,7 +118,7 @@ class TestLorentzForce:
             UniformERegion(E=[1e-5, 2e-5, -3e-6], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
         ]
         for src in sources:
-            accel = _acceleration_fn(particle, src, CGS)
+            accel = _acceleration_fn(particle, src)
             for _ in range(200):
                 r = rng.uniform(-2, 2, 3)
                 v = rng.uniform(-1, 1, 3) * BEAM_SPEED
@@ -133,7 +133,6 @@ class TestIntegrateTrajectory:
         src = PointCharge(q=0.0, position=[0.0, 0.3, 0.0])
         result = integrate_trajectory(beam_particle(), src, 0.5, 1e-11)
         assert result.deflection_angle < 1e-12
-        assert result.termination == "exit_plane"
         assert result.r_final[0] == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(result.v_final, beam_particle().v0)
 
@@ -482,17 +481,6 @@ class TestCriticalDistance:
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         with pytest.raises(BracketError):
             critical_distance(particle, src, geom, 1.0, (0.10, 0.40), 1e-11)
-
-    @pytest.mark.parametrize("samples", [-1, 0, 1])
-    def test_too_few_monotonicity_samples_rejected(self, samples, count_calls):
-        evaluations = count_calls("deflection_at_distance")
-        src = PointCharge(q=5e-6, position=[0, 1, 0])
-        with pytest.raises(ValueError, match="monotonicity_samples"):
-            critical_distance(
-                beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), 1e-11,
-                monotonicity_samples=samples,
-            )
-        assert evaluations == []
 
     def test_non_monotone_profile_rejected(self):
         # A rigid field box carried across the beam line: deflection rises and

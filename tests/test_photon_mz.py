@@ -10,6 +10,7 @@ from ifmsim.cli import main
 from ifmsim.photon_mz import (
     ARM_LOWER,
     ARM_UPPER,
+    MAX_CYCLES,
     SPLITTER,
     EvDistribution,
     EvSetup,
@@ -101,6 +102,11 @@ class TestAnalyticDistribution:
         with pytest.raises(ValueError):
             EvDistribution(0.5, 0.4, 0.2)
 
+    @pytest.mark.parametrize("cls", [EvDistribution, ZenoDistribution])
+    def test_nan_probability_rejected(self, cls):
+        with pytest.raises(ValueError, match="out of range"):
+            cls(float("nan"), 0.5, 0.5)
+
 
 class TestMonteCarlo:
     def test_no_object_all_light(self):
@@ -157,6 +163,11 @@ class TestMonteCarlo:
         c1 = run_ev_trials(setup, 10_000, np.random.default_rng(55))
         c2 = run_ev_trials(setup, 10_000, np.random.default_rng(55))
         assert c1 == c2
+
+
+# Cycle counts past MAX_CYCLES; 2**1023 gave NaN probabilities, 2**1024 an OverflowError.
+OVER_CAP = [2**53 + 1, 2**1023, 2**1024]
+OVER_CAP_IDS = ["2**53+1", "2**1023", "2**1024"]
 
 
 class TestZenoVariant:
@@ -220,6 +231,22 @@ class TestZenoVariant:
     def test_zero_cycles_rejected(self):
         with pytest.raises(ValueError):
             zeno_ifm_distribution(0, object_present=True)
+
+    def test_max_cycle_count_is_finite(self):
+        assert MAX_CYCLES == 2**53
+        dist = zeno_ifm_distribution(MAX_CYCLES, object_present=True)
+        assert 1.0 - 1e-15 < dist.p_success_detect <= 1.0
+        assert dist.p_absorbed == 1.0 - dist.p_success_detect
+
+    @pytest.mark.parametrize("n", OVER_CAP, ids=OVER_CAP_IDS)
+    def test_cycle_count_over_cap_rejected(self, n):
+        with pytest.raises(ValueError, match="n_cycles"):
+            zeno_ifm_distribution(n, object_present=True)
+
+    @pytest.mark.parametrize("n", OVER_CAP, ids=OVER_CAP_IDS)
+    def test_cli_zeno_cycle_count_over_cap_exits_2(self, n, capsys):
+        assert main(["zeno", "--cycles", str(n), "--seed", "1"]) == 2
+        assert "parameters.n_cycles: must be <= 9007199254740992" in capsys.readouterr().err
 
     def test_simplex(self):
         for n in (1, 3, 9, 40):
