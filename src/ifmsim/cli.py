@@ -32,14 +32,15 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, runners
+from .fields import light_deflection
 from .photon_mz import ARMS, MAX_CYCLES
 from .records import ResultRecord, make_metadata, record_text, scan_table_text
 
 MAX_SEED = 2**64 - 1
 
 # Caps that keep every valid input bounded in time and memory.  Sampling
-# costs 8 bytes per trial, and a scan integrates one trajectory per position
-# at up to (path length / speed) / dt RK4 steps.
+# takes time linear in the trials but fixed memory, and a scan integrates one
+# trajectory per position at up to (path length / speed) / dt RK4 steps.
 MAX_TRIALS = 10_000_000
 MAX_POSITIONS = 100
 MIN_DT = 1e-13
@@ -259,7 +260,20 @@ def _check_gravity(p: dict) -> list[str]:
         return ["parameters: provide mass+impact_parameter and/or delta_phi (with optional density)"]
     if "density" in p and "delta_phi" not in p:
         return ["parameters.density: only used with delta_phi, which is missing"]
-    return []
+    # Each value is a finite float, but the results can still overflow one.
+    errors = []
+    if "mass" in p:
+        deflection = light_deflection(p["mass"], p["impact_parameter"])
+        if not math.isfinite(deflection):
+            errors.append(f"parameters.mass: the deflection 4GM/(b c^2) is {deflection}, "
+                          "not a finite float")
+    if "delta_phi" in p:
+        radius, mass = runners.gravity_sphere(p["delta_phi"],
+                                              p.get("density", runners.IRIDIUM_DENSITY))
+        if not (0.0 < radius < math.inf and math.isfinite(mass)):
+            errors.append(f"parameters.delta_phi: the sphere has radius {radius:g} cm and mass "
+                          f"{mass:g} g; the radius must be positive and finite, the mass finite")
+    return errors
 
 
 def _check_scan(p: dict, magnetic: bool) -> list[str]:

@@ -127,7 +127,8 @@ def detector_probability(model: InterferometerModel, blocks: PathBlockSet = NO_B
     theta + phi sets the fringe.
     """
     w_u, w_l = _path_weights(model, blocks)
-    delta = model.third_grating_phase + model.arm_extra_phase
+    # Wrapped first: cos of a raw sum near 1e17 keeps no fractional digits.
+    delta = model.third_grating_phase + wrap_phase(model.arm_extra_phase)
     p = w_u + w_l + 2.0 * math.sqrt(w_u * w_l) * math.cos(delta)
     return max(p, 0.0)
 
@@ -141,7 +142,7 @@ def solve_ideal_offset(model: InterferometerModel) -> NullSolution:
     residual attached.
     """
     w_u, w_l = _path_weights(model, NO_BLOCKS)
-    phase = wrap_phase(math.pi - model.arm_extra_phase)
+    phase = wrap_phase(math.pi - wrap_phase(model.arm_extra_phase))
     residual = (math.sqrt(w_u) - math.sqrt(w_l)) ** 2
     return NullSolution(phase=phase, residual=residual, perfect=residual < _NULL_TOL)
 

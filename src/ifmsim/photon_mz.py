@@ -48,6 +48,11 @@ OUTCOME_ABSORBED = "absorbed"
 # reflection i*sqrt(1/2).
 SPLITTER = np.sqrt(0.5) * np.array([[1, 1j], [1j, 1]])
 
+# Uniform draws held at once while counting trials.  Generator.random yields
+# the same doubles in the same order whatever the block size, so the block only
+# bounds memory; counts and the generator's final state do not depend on it.
+_BLOCK = 65_536
+
 # Largest Zeno cycle count.  The closed form computes with N as a float, which
 # is exact up to 2**53; at 2**1023, 2N overflows and the result is NaN.
 MAX_CYCLES = 2**53
@@ -129,21 +134,49 @@ def ev_outcome_distribution(setup: EvSetup) -> EvDistribution:
     return EvDistribution(p_light_detector=light, p_dark_detector=dark, p_absorbed=p_abs)
 
 
+def _count_below(rng: np.random.Generator, n: int, cuts) -> list[int]:
+    """How many of ``n`` draws of ``rng.random()`` fall below each cut.
+
+    The draws come in blocks of :data:`_BLOCK`, so memory stays O(block) for
+    any ``n`` while the stream consumed is exactly that of ``rng.random(n)``.
+    """
+    counts = [0] * len(cuts)
+    left = n
+    while left > 0:
+        u = rng.random(min(_BLOCK, left))
+        for i, cut in enumerate(cuts):
+            counts[i] += int(np.count_nonzero(u < cut))
+        left -= len(u)
+    return counts
+
+
 def run_ev_trials(setup: EvSetup, n_trials: int, rng: np.random.Generator) -> dict[str, int]:
     """Sample ``n_trials`` independent single-photon runs.
 
     Returns counts per outcome label ("light", "dark", "absorbed"); counts sum
     to ``n_trials`` and are reproducible for a fixed generator state.  The
     absorbed share is the norm the detectors do not see.
+
+    Each trial is one uniform draw u compared with the normalised CDF of
+    (light, dark, absorbed): light when u < cdf[0], dark when
+    cdf[0] <= u < cdf[1], absorbed otherwise.  The draws are counted in fixed
+    blocks, so memory does not grow with ``n_trials``.  This is the inverse
+    CDF that ``rng.choice(3, size=n_trials, p=p)`` evaluates, so the counts
+    and the generator's final state are bit-identical to those of 0.1.0.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     light, dark, _ = _port_probabilities(setup)
     p = np.array([light, dark, max(0.0, 1.0 - (light + dark))])
     p /= p.sum()
-    counts = np.bincount(rng.choice(3, size=n_trials, p=p), minlength=3)
-    labels = (OUTCOME_LIGHT, OUTCOME_DARK, OUTCOME_ABSORBED)
-    return {label: int(c) for label, c in zip(labels, counts)}
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    below_light, below_dark = _count_below(rng, n_trials, cdf[:2])
+    return {
+        OUTCOME_LIGHT: below_light,
+        OUTCOME_DARK: below_dark - below_light,
+        OUTCOME_ABSORBED: n_trials - below_dark,
+    }
 
 
 def zeno_ifm_distribution(n_cycles: int, object_present: bool) -> ZenoDistribution:

@@ -47,6 +47,7 @@ from .matter_mz import (
     solve_ideal_offset,
     wrap_phase,
 )
+from .photon_mz import _count_below
 
 # A model counts as calibrated when its no-block detector probability is
 # below this threshold.
@@ -261,7 +262,7 @@ def run_field_scan(
         blocked = deflection > config.phi_c
         p_detect = p_blocked if blocked else p_null
         rng = np.random.default_rng([config.seed, k])
-        detections = int(np.count_nonzero(rng.random(config.trials_per_position) < p_detect))
+        (detections,) = _count_below(rng, config.trials_per_position, (p_detect,))
         records.append(
             PositionRecord(
                 distance=distance,

@@ -11,6 +11,7 @@ payload's results into the lines printed after a run.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -215,6 +216,18 @@ def field_scan(p: dict, seed: int, magnetic: bool) -> tuple[dict, list[dict]]:
     return {"parameters": resolved, "results": results}, rows
 
 
+def gravity_sphere(delta_phi: float, density: float) -> tuple[float, float]:
+    """Radius (cm) and mass (g) of the sphere whose grazing rays bend by ``delta_phi``.
+
+    The mass is inf where R^3 overflows a float.
+    """
+    radius_cm = sphere_radius_for_deflection(delta_phi, density)
+    try:
+        return radius_cm, 4.0 / 3.0 * np.pi * radius_cm**3 * density
+    except OverflowError:
+        return radius_cm, math.inf
+
+
 def gravity_deflection(p: dict, seed: int) -> tuple[dict, None]:
     """Light bending by a mass at an impact parameter and/or the sphere for a target deflection."""
     resolved: dict = {}
@@ -227,9 +240,8 @@ def gravity_deflection(p: dict, seed: int) -> tuple[dict, None]:
     if "delta_phi" in p:
         delta_phi = float(p["delta_phi"])
         density = float(p.get("density", IRIDIUM_DENSITY))
-        radius_cm = sphere_radius_for_deflection(delta_phi, density)
+        radius_cm, sphere_mass = gravity_sphere(delta_phi, density)
         radius_km = radius_cm / 1.0e5
-        sphere_mass = 4.0 / 3.0 * np.pi * radius_cm**3 * density
         resolved.update({"delta_phi": delta_phi, "density": density})
         results["sphere"] = {
             "radius_cm": radius_cm,

@@ -100,6 +100,22 @@ class TestParseConfig:
         assert "parameters.density: " in capsys.readouterr().err
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("argv, where", [
+        # 4GM/(b c^2) overflows: "deflection_rad": Infinity was written with exit 0.
+        (["--mass", "1e308", "--impact-parameter", "1e-300"], "parameters.mass: "),
+        # The radius overflows: "radius_km": Infinity was written with exit 0.
+        (["--target-deflection", "1e300", "--density", "1e-300"], "parameters.delta_phi: "),
+        # R is finite but R**3 overflows: an OverflowError exited 1.
+        (["--target-deflection", "1e150", "--density", "1e-50"], "parameters.delta_phi: "),
+        # R underflows to 0: the deflection check raised and exited 1.
+        (["--target-deflection", "5e-324", "--density", "1e308"], "parameters.delta_phi: "),
+    ], ids=["deflection-inf", "radius-inf", "mass-inf", "radius-zero"])
+    def test_gravity_overflow_exits_2(self, argv, where, capsys):
+        assert main(["gravity-deflection", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"configuration errors:\n  {where}")
+        assert out == ""
+
     def test_gravity_density_defaults_to_iridium(self):
         record = run_scenario(make_config("gravity_deflection", 0, {"delta_phi": 1e-9}))
         assert record.payload["parameters"]["density"] == 22.6

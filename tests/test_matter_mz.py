@@ -14,6 +14,7 @@ from ifmsim.matter_mz import (
     detector_probability,
     ifm_efficiency,
     solve_ideal_offset,
+    wrap_phase,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -130,6 +131,15 @@ class TestSolveIdealOffset:
             assert detector_probability(
                 dataclasses.replace(model, third_grating_phase=sol.phase)
             ) <= min(probs) + 1e-15
+
+    @pytest.mark.parametrize("phi", [1e17, -1e17])
+    def test_huge_arm_phase_keeps_the_null(self, phi):
+        # The raw sum theta + 1e17 has no fractional digits: P(no block) was 0.0254.
+        model = symmetric_model(arm_extra_phase=phi)
+        sol = solve_ideal_offset(model)
+        assert sol.perfect
+        assert sol.phase == solve_ideal_offset(symmetric_model(arm_extra_phase=wrap_phase(phi))).phase
+        assert detector_probability(solved(model), NO_BLOCKS) < 1e-12
 
     def test_unequal_weights_flagged_imperfect(self):
         g1 = GratingSpec(0.25, 0.5, 0.25)

@@ -1,6 +1,8 @@
 """Bomb-test statistics: exact splits, Monte Carlo agreement, N-cycle variant."""
 
+import math
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -163,6 +165,57 @@ class TestMonteCarlo:
         c1 = run_ev_trials(setup, 10_000, np.random.default_rng(55))
         c2 = run_ev_trials(setup, 10_000, np.random.default_rng(55))
         assert c1 == c2
+
+
+def choice_counts(setup: EvSetup, n: int, rng: np.random.Generator) -> dict[str, int]:
+    """The 0.1.0 sampler: one ``rng.choice`` over all n trials, binned."""
+    dist = ev_outcome_distribution(setup)
+    light, dark = dist.p_light_detector, dist.p_dark_detector
+    p = np.array([light, dark, max(0.0, 1.0 - (light + dark))])
+    p /= p.sum()
+    counts = np.bincount(rng.choice(3, size=n, p=p), minlength=3)
+    return dict(zip(("light", "dark", "absorbed"), map(int, counts)))
+
+
+SAMPLER_SETUPS = [
+    EvSetup(),
+    EvSetup(True, ARM_UPPER, 0.0),
+    EvSetup(True, ARM_LOWER, 2.5),
+    EvSetup(False, ARM_UPPER, math.pi / 3),
+]
+
+
+class TestBlockedSampler:
+    """run_ev_trials counts in blocks, yet matches rng.choice draw for draw."""
+
+    @staticmethod
+    def assert_matches_choice(setup, n, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert run_ev_trials(setup, n, rng) == choice_counts(setup, n, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 65_535, 65_536, 65_537, 3 * 65_536 + 7])
+    @pytest.mark.parametrize("setup", SAMPLER_SETUPS)
+    def test_block_edges_match_choice(self, setup, n):
+        self.assert_matches_choice(setup, n, seed=n)
+
+    def test_random_setups_match_choice(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            setup = EvSetup(bool(rng.random() < 0.5), (ARM_UPPER, ARM_LOWER)[int(rng.integers(2))],
+                            float(rng.uniform(-10.0, 10.0)))
+            self.assert_matches_choice(setup, int(rng.integers(1, 20_001)),
+                                       seed=int(rng.integers(2**63)))
+
+    def test_memory_does_not_grow_with_trials(self):
+        # One rng.choice over 10**7 trials peaks at 160 MB: 16 bytes per trial.
+        tracemalloc.start()
+        try:
+            run_ev_trials(EvSetup(object_present=True), 10**7, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 # Cycle counts past MAX_CYCLES; 2**1023 gave NaN probabilities, 2**1024 an OverflowError.

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ifmsim.matter_mz import (
     InterferometerModel,
     detector_probability,
 )
+from ifmsim.photon_mz import _count_below
 from ifmsim.protocol import (
     CalibrationSetup,
     ScanConfig,
@@ -380,3 +382,40 @@ class TestRunFieldScan:
         assert result.conclusive
         assert result.first_detecting_position == 0.06
         assert result.field_bound == pytest.approx(1e-3, rel=1e-12)
+
+
+class TestScanDraws:
+    """Bernoulli draws are counted in blocks, matching one rng.random(n) exactly."""
+
+    @pytest.mark.parametrize("n", [1, 65_535, 65_536, 65_537, 3 * 65_536 + 7])
+    def test_count_below_matches_one_array(self, n):
+        cuts = (0.0, 1.0 / 9.0, 0.5, 1.0)
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        u = ref.random(n)
+        assert _count_below(rng, n, cuts) == [int(np.count_nonzero(u < c)) for c in cuts]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_scan_detections_match_one_array(self):
+        trials = 2 * 65_536 + 3
+        config = scan_config(trials_per_position=trials)
+        result = run_field_scan(
+            calibrated_model(), PointCharge(q=5e-6, position=[0, 1, 0]), beam_particle(), config
+        )
+        assert result.conclusive
+        for k, rec in enumerate(result.per_position):
+            u = np.random.default_rng([config.seed, k]).random(trials)
+            assert rec.detections == int(np.count_nonzero(u < rec.detection_probability))
+
+    def test_scan_memory_does_not_grow_with_trials(self):
+        config = scan_config(positions=(0.4,), trials_per_position=10**7)
+        tracemalloc.start()
+        try:
+            result = run_field_scan(
+                calibrated_model(), PointCharge(q=1e-8, position=[0, 1, 0]), beam_particle(),
+                config,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.per_position[0].trials == 10**7
+        assert peak < 4 * 2**20
