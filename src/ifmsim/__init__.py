@@ -7,7 +7,7 @@ Lorentz-force trajectory bending, and the discrete source-scanning protocol
 that measures a field without the detected particle ever entering it.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .fields import (
     CGS,
@@ -23,6 +23,7 @@ from .fields import (
     TrajectoryResult,
     UniformBRegion,
     UniformERegion,
+    box_deflection,
     closest_approach_point,
     coulomb_deflection,
     critical_distance,

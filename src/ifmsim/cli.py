@@ -32,15 +32,16 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, runners
-from .fields import light_deflection
+from .fields import CGS, _check_launch, light_deflection
 from .photon_mz import ARMS, MAX_CYCLES
 from .records import ResultRecord, make_metadata, record_text, scan_table_text
 
 MAX_SEED = 2**64 - 1
 
 # Caps that keep every valid input bounded in time and memory.  Sampling
-# takes time linear in the trials but fixed memory, and a scan integrates one
-# trajectory per position at up to (path length / speed) / dt RK4 steps.
+# takes time linear in the trials but fixed memory, and an electric scan
+# integrates one trajectory per position at up to (path length / speed) / dt
+# RK4 steps; a magnetic scan row is exact, in O(1).
 MAX_TRIALS = 10_000_000
 MAX_POSITIONS = 100
 MIN_DT = 1e-13
@@ -277,13 +278,28 @@ def _check_gravity(p: dict) -> list[str]:
 
 
 def _check_scan(p: dict, magnetic: bool) -> list[str]:
-    """Build the field box and derive the trial count before any compute runs."""
+    """Check the launch, the source strength and the trial count before any compute runs."""
     errors = []
+    particle = p["particle"]
+    try:
+        _check_launch(float(particle["r0"][0]), float(particle["v0"][0]),
+                      float(p["geometry"]["exit_plane_x"]))
+    except ValueError as exc:
+        errors.append(f"parameters.particle: {exc}")
+    # q/m times the source strength sets the force; past the float range the
+    # path is NaN (and RK4 would run to its step cap).
+    q_m = float(particle["q"]) / float(particle["m"])
     if magnetic:
         try:
             runners.field_region_from(p)
         except ValueError as exc:
             errors.append(f"parameters.box_half_widths: {exc}")
+        gyro = math.hypot(*(q_m / CGS.c * b for b in p["field_vector"]))
+        if not math.isfinite(gyro):
+            errors.append(f"parameters.field_vector: the gyrofrequency |q B|/(m c) is {gyro}, "
+                          "not a finite float")
+    elif not math.isfinite(k := q_m * p["source_charge"]):
+        errors.append(f"parameters.source_charge: q Q / m is {k}, not a finite float")
     if "trials_per_position" not in p["scan"]:
         try:
             trials = runners.scan_trials(p)
@@ -361,7 +377,7 @@ def _scan_params(source: dict, positions: list[float], phi_c: float) -> dict:
     return {
         **source,
         "particle": Param("block", fields=_PARTICLE, build=runners.particle_from),
-        "geometry": Param("block", fields=_GEOMETRY),
+        "geometry": Param("block", fields=_GEOMETRY, build=runners.geometry_from),
         "scan": Param("block", fields=scan),
         "cages": Param("block", fields=_CAGES),
         "gratings": Param("block", fields=_GRATINGS),

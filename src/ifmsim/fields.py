@@ -8,15 +8,17 @@ F = q[E + (v x B - B x v)/(2c)], which reduces to q[E + (v x B)/c] for
 classical vectors; the implementation keeps the symmetrized form and the test
 suite pins the identity.
 
-Trajectories are integrated with classical fixed-step RK4 until the particle
-crosses a configured exit plane (the second-grating plane); the deflection
-angle is the angle between the initial and final velocity.  A point charge's
-deflection also has a closed form, the exact Kepler/Rutherford orbit
-(:func:`coulomb_deflection`).  Brent's root-finder, seeded with the bracketing
-pair from a coarse five-sample monotonicity scan, inverts deflection-vs-distance
-to the critical source distance for a given threshold angle; for a point
-charge it inverts the exact orbit, so the critical distance is exact to its
-tolerance, while the protocol's scan rows stay RK4.
+The deflection angle is the angle between the initial velocity and the
+velocity at a configured exit plane (the second-grating plane).  Box sources
+are exact: :func:`box_deflection` follows the straight line into the box, the
+parabola (uniform E) or helix (uniform B) inside it, and the straight line out
+to the plane, in O(1).  A point charge's deflection has a closed form too, the
+exact Kepler/Rutherford orbit (:func:`coulomb_deflection`).  Fixed-step RK4
+(:func:`integrate_trajectory`) is kept as the oracle for both, and the
+protocol's point-charge scan rows still run on it.  Brent's root-finder,
+seeded with the bracketing pair from a coarse five-sample monotonicity scan,
+inverts deflection-vs-distance to the critical source distance for a given
+threshold angle on the exact deflections, so it integrates nothing.
 """
 
 from __future__ import annotations
@@ -267,6 +269,25 @@ def _deflection_between(v0: np.ndarray, v1: np.ndarray) -> float:
     return float(math.atan2(float(np.linalg.norm(cross)), float(v0 @ v1)))
 
 
+def _turn_angle(vx: float, vy: float, vz: float, dvx: float, dvy: float, dvz: float) -> float:
+    """Angle between v and v + dv, from dv itself so that a small turn keeps its digits."""
+    cross = math.hypot(vy * dvz - vz * dvy, vz * dvx - vx * dvz, vx * dvy - vy * dvx)
+    dot = vx * vx + vy * vy + vz * vz + vx * dvx + vy * dvy + vz * dvz
+    return math.atan2(cross, dot)
+
+
+def _check_launch(x0: float, vx: float, exit_plane_x: float) -> float:
+    """Sign (+1 or -1) of the direction from ``x0`` to the exit plane.
+
+    Raises ``ValueError`` unless the particle starts before the plane, moving
+    toward it.
+    """
+    direction = 1.0 if exit_plane_x >= x0 else -1.0
+    if vx * direction <= 0.0 or (exit_plane_x - x0) * direction <= 0.0:
+        raise ValueError("particle must start before the exit plane, moving toward it")
+    return direction
+
+
 def integrate_trajectory(
     particle: TestParticle,
     source: FieldSource,
@@ -280,18 +301,19 @@ def integrate_trajectory(
 
     Integration runs until the x coordinate crosses ``exit_plane_x`` (the
     final partial step is refined onto the plane).  The particle must
-    initially move toward the plane.  A step whose segment r + s*v*dt
-    (0 <= s <= 1) passes within ``singularity_cutoff`` cm of a point source
-    raises :class:`SingularityError`, so no step jumps over the charge;
-    exhausting ``max_steps`` raises :class:`StepLimitError`.
+    initially move toward the plane (:func:`_check_launch`).  A step whose
+    segment r + s*v*dt (0 <= s <= 1) passes within ``singularity_cutoff`` cm
+    of a point source raises :class:`SingularityError`, so no step jumps over
+    the charge; exhausting ``max_steps`` raises :class:`StepLimitError`.  A
+    non-finite x raises ``FloatingPointError`` at the step that produced it
+    (a NaN anywhere in a point charge's state reaches x within two steps), and
+    so does any non-finite component on the exit plane.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x, y, z = (float(c) for c in particle.r0)
     vx, vy, vz = (float(c) for c in particle.v0)
-    direction = 1.0 if exit_plane_x >= x else -1.0
-    if vx * direction <= 0.0 or (exit_plane_x - x) * direction <= 0.0:
-        raise ValueError("particle must start before the exit plane, moving toward it")
+    direction = _check_launch(x, vx, exit_plane_x)
 
     accel = _acceleration_fn(particle, source)
     guard_point = isinstance(source, PointCharge)
@@ -302,7 +324,7 @@ def integrate_trajectory(
         # bounds the speed at distance r by sqrt(V^2 + 2|k|/r) (k = q*Q/m,
         # V^2 = v0^2 + 2|k|/r0), and beyond reach 2*dt times that is < r - cutoff.
         k = abs(particle.q * source.q / particle.m)
-        r0 = max(float(np.linalg.norm(particle.r0 - source.position)), singularity_cutoff)
+        r0 = max(math.dist(particle.r0, source.position), singularity_cutoff)
         speed = math.sqrt(vx * vx + vy * vy + vz * vz + 2.0 * k / r0)
         reach = max(2.0 * (singularity_cutoff + 2.0 * dt * speed),
                     (4.0 * dt) ** (2.0 / 3.0) * (2.0 * k) ** (1.0 / 3.0))
@@ -345,7 +367,10 @@ def integrate_trajectory(
                         f"trajectory within {singularity_cutoff} cm of the point source"
                     )
         nx, ny, nz, nvx, nvy, nvz = rk4(x, y, z, vx, vy, vz, dt)
-        if (exit_plane_x - nx) * direction <= 0.0:
+        # Written so that a NaN x also takes the branch: the test costs nothing extra.
+        if not (exit_plane_x - nx) * direction > 0.0:
+            if not math.isfinite(nx):
+                raise FloatingPointError(f"trajectory state not finite after {len(rows)} steps")
             # Crossed the plane inside this step: refine the substep onto it.
             h = dt * (exit_plane_x - x) / (nx - x)
             for _ in range(3):
@@ -366,6 +391,8 @@ def integrate_trajectory(
         rows.append((t, x, y, z, vx, vy, vz))
     else:
         raise StepLimitError(f"exit plane not reached within {max_steps} steps")
+    if not all(map(math.isfinite, rows[-1])):
+        raise FloatingPointError("trajectory state not finite on the exit plane")
 
     v_final = np.array((vx, vy, vz))
     samples = np.array(rows)
@@ -412,13 +439,11 @@ def coulomb_deflection(
     below ``singularity_cutoff`` (a head-on launch, h = 0, included),
     :class:`StepLimitError` at once when the orbit turns back before reaching
     the plane, and ``ValueError`` unless the particle starts before the plane
-    moving toward it.
+    moving toward it (:func:`_check_launch`).
     """
     x0 = float(particle.r0[0])
     vx, vy, vz = (float(c) for c in particle.v0)
-    direction = 1.0 if exit_plane_x >= x0 else -1.0
-    if vx * direction <= 0.0 or (exit_plane_x - x0) * direction <= 0.0:
-        raise ValueError("particle must start before the exit plane, moving toward it")
+    _check_launch(x0, vx, exit_plane_x)
     sx = float(charge.position[0])
     rx, ry, rz = (float(a) - float(b) for a, b in zip(particle.r0, charge.position))
     r0 = math.hypot(rx, ry, rz)
@@ -475,9 +500,238 @@ def coulomb_deflection(
     s, co = math.sin(0.5 * theta_exit), math.cos(0.5 * theta_exit)
     k = -2.0 * mu / h * s
     dvx, dvy, dvz = k * (co * ux + s * tx), k * (co * uy + s * ty), k * (co * uz + s * tz)
-    cross = math.hypot(vy * dvz - vz * dvy, vz * dvx - vx * dvz, vx * dvy - vy * dvx)
-    dot = vx * vx + vy * vy + vz * vz + vx * dvx + vy * dvy + vz * dvz
-    return math.atan2(cross, dot)
+    return _turn_angle(vx, vy, vz, dvx, dvy, dvz)
+
+
+def _brent(f, a: float, fa: float, b: float, fb: float, rel_tol: float) -> float:
+    """Root of ``f`` between ``a`` and ``b``, where fa = f(a) and fb = f(b) differ in sign.
+
+    Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) mixes inverse quadratic interpolation, secant
+    steps and bisection while always keeping the root bracketed.  It stops
+    once the half-bracket is at most max(0.25 * ``rel_tol``, 2 eps) * |b|,
+    where b is the current estimate, or once f(b) is exactly 0.
+    """
+    c, fc = a, fa
+    step = prev_step = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            # The root now lies between a and b.
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            # Keep b the end with the smaller residual.
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.25 * rel_tol, 2.0 * _EPS) * abs(b)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                # Secant step.
+                p = 2.0 * half * s
+                q = 1.0 - s
+            else:
+                # Inverse quadratic interpolation through a, b and c.
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # Accept the step only if it stays well inside the bracket and
+            # shrinks faster than the step before last; otherwise bisect.
+            if 2.0 * p < 3.0 * half * q - abs(tol * q) and p < abs(0.5 * prev_step * q):
+                prev_step, step = step, p / q
+            else:
+                step = prev_step = half
+        else:
+            step = prev_step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+
+
+def _quadratic_exit(c0: float, c1: float, c2: float) -> float:
+    """First t >= 0 at which c0 + c1*t + c2*t^2 turns positive, given c0 <= 0; inf if never."""
+    if c0 == 0.0 and (c1 > 0.0 or (c1 == 0.0 and c2 > 0.0)):
+        return 0.0
+    if c2 == 0.0:
+        return -c0 / c1 if c1 > 0.0 else math.inf
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc <= 0.0:  # only with c2 < 0: the parabola at most touches 0
+        return math.inf
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    roots = (q / c2, c0 / q)
+    # Opening upward it turns positive at the larger root, downward at the smaller.
+    t = max(roots) if c2 > 0.0 else min(roots)
+    return t if t > 0.0 else math.inf
+
+
+def _helix_crossing(c: float, beta: float, p: float, q: float, limit: float) -> float:
+    """First theta >= 0 at which F(theta) turns positive, or ``limit`` if that comes first.
+
+    F(theta) = c + beta*theta + p*sin(theta) + q*(1 - cos(theta)), with
+    F(0) = c <= 0, is one helix coordinate measured against a plane.  Its
+    derivative vanishes where A cos(theta - atan2(q, p)) = -beta, A =
+    hypot(p, q), and those analytic roots split theta into monotone pieces;
+    Brent's method runs on the first piece whose end is positive.  Only a
+    window of two turns is searched.  With beta > 0, F <= c + beta*theta + q + A
+    stays negative before theta_min = -(c + q + A)/beta and exceeds that bound
+    at the top of its oscillation in the turn after the one holding theta_min.
+    With beta <= 0 each turn repeats the one before, lowered by -2*pi*beta, so
+    only the first can cross.  A crossing more than 1e12 turns away, where a
+    float theta no longer resolves a turn, counts as none.
+    """
+    amp = math.hypot(p, q)
+    if beta > 0.0:
+        turns = max(0.0, -(c + q + amp) / beta) / _TWO_PI
+        if turns > 1e12:
+            return limit
+        start = _TWO_PI * math.floor(turns)
+        end = start + 2.0 * _TWO_PI
+    else:
+        start, end = 0.0, _TWO_PI
+    if start >= limit:
+        return limit
+    points = [end]
+    if amp > abs(beta):
+        phase, spread = math.atan2(q, p), math.acos(-beta / amp)
+        for base in (phase - spread, phase + spread):
+            theta = start + (base - start) % _TWO_PI
+            while theta < end:
+                points.append(theta)
+                theta += _TWO_PI
+        points.sort()
+
+    def f(theta: float) -> float:
+        half = math.sin(0.5 * theta)
+        return c + beta * theta + p * math.sin(theta) + 2.0 * q * half * half
+
+    a, fa = start, f(start) if start else c
+    for b in points:
+        b = min(b, limit)
+        fb = f(b)
+        if fb > 0.0:
+            return a if fa >= 0.0 else _brent(f, a, fa, b, fb, 0.0)
+        if b >= limit:
+            break
+        a, fa = b, fb
+    return limit
+
+
+def _box_exit(
+    particle: TestParticle,
+    box: UniformBRegion | UniformERegion,
+    exit_plane_x: float,
+):
+    """End of the field segment of the exact path through ``box``.
+
+    The launch line r0 + v0*t meets the closed box, by the slab test, for
+    t_in <= t <= t_out; it misses when that range is empty or starts at or
+    beyond the exit plane, and then None is returned, as it is for a zero
+    field.  From the entry point the path is a parabola (E) or a helix (B)
+    until it first leaves the box or reaches the plane.  Returns that point r
+    and the velocity change dv along the way, as lists of floats.
+    """
+    q_m = particle.q / particle.m
+    r0, v0 = particle.r0.tolist(), particle.v0.tolist()
+    lo, hi = box.box_min.tolist(), box.box_max.tolist()
+    direction = _check_launch(r0[0], v0[0], exit_plane_x)
+
+    # Slab test (Williams et al., J. Graphics Tools 10:49, 2005).
+    t_plane = (exit_plane_x - r0[0]) / v0[0]
+    t_in, t_out = 0.0, t_plane
+    for i in range(3):
+        if v0[i] == 0.0:
+            if not lo[i] <= r0[i] <= hi[i]:
+                return None
+            continue
+        near, far = (lo[i], hi[i]) if v0[i] > 0.0 else (hi[i], lo[i])
+        t_in = max(t_in, (near - r0[i]) / v0[i])
+        t_out = min(t_out, (far - r0[i]) / v0[i])
+    if t_in > t_out or t_in >= t_plane:
+        return None
+    # Entry point, clamped onto the closed box against rounding.
+    p = [min(max(r0[i] + v0[i] * t_in, lo[i]), hi[i]) for i in range(3)]
+    # Outward-signed offsets s*(p_i - face) <= 0 of the six faces, the face
+    # ahead of the launch first, then of the exit plane.
+    planes = []
+    for i in range(3):
+        s, ahead, behind = (1.0, hi[i], lo[i]) if v0[i] >= 0.0 else (-1.0, lo[i], hi[i])
+        planes += [(i, s, s * (p[i] - ahead)), (i, -s, s * (behind - p[i]))]
+    planes.append((0, direction, direction * (p[0] - exit_plane_x)))
+
+    if isinstance(box, UniformERegion):
+        a = [q_m * e for e in box.E.tolist()]
+        if not all(map(math.isfinite, a)):
+            raise ValueError("q E / m is not finite")
+        if not any(a):
+            return None
+        # A nonzero a bends some coordinate out of the box: t is finite.
+        t = min(_quadratic_exit(g, s * v0[i], 0.5 * s * a[i]) for i, s, g in planes)
+        dv = [ai * t for ai in a]
+        r = [p[i] + (v0[i] + 0.5 * a[i] * t) * t for i in range(3)]
+    elif isinstance(box, UniformBRegion):
+        # dv/dt = w x v with w = -q B / (m c): v turns about w_hat at rate |w|.
+        wx, wy, wz = (-q_m / CGS.c * b for b in box.B.tolist())
+        omega = math.hypot(wx, wy, wz)
+        if not math.isfinite(omega):
+            raise ValueError("the gyrofrequency |q B| / (m c) is not finite")
+        if omega == 0.0:
+            return None
+        nx, ny, nz = wx / omega, wy / omega, wz / omega
+        vx, vy, vz = v0
+        along = vx * nx + vy * ny + vz * nz
+        drift = (along * nx, along * ny, along * nz)
+        perp = (vx - drift[0], vy - drift[1], vz - drift[2])
+        turn = (ny * vz - nz * vy, nz * vx - nx * vz, nx * vy - ny * vx)
+        # Rodrigues: at theta = omega*t, v = drift + perp cos(theta) + turn sin(theta)
+        # and omega (r - p) = drift theta + perp sin(theta) + turn (1 - cos(theta)).
+        theta = math.inf
+        for i, s, g in planes:
+            theta = _helix_crossing(omega * g, s * drift[i], s * perp[i], s * turn[i], theta)
+        if theta == math.inf:
+            raise StepLimitError("exit plane not reached: the orbit stays inside the field box")
+        sin_t, half = math.sin(theta), math.sin(0.5 * theta)
+        one_minus_cos = 2.0 * half * half
+        dv = [turn[i] * sin_t - perp[i] * one_minus_cos for i in range(3)]
+        r = [p[i] + (drift[i] * theta + perp[i] * sin_t + turn[i] * one_minus_cos) / omega
+             for i in range(3)]
+    else:
+        raise TypeError(f"unsupported field box {type(box).__name__}")
+    # On the plane x moves toward it; at a face it must, or the line out never gets there.
+    if (v0[0] + dv[0]) * direction <= 0.0:
+        raise StepLimitError("exit plane not reached: the path turns back in the field box")
+    return r, dv
+
+
+def box_deflection(
+    particle: TestParticle,
+    box: UniformBRegion | UniformERegion,
+    exit_plane_x: float,
+) -> float:
+    """Deflection angle at the exit plane on the exact path through a field box, in O(1).
+
+    The path is a straight line to the closed box, a parabola in uniform E
+    or a helix in uniform B (Jackson, *Classical Electrodynamics*, §12.2)
+    inside it, then a straight line to the plane; a line that leaves a convex
+    box never re-enters it.  The path stops at the exit plane even where that
+    plane cuts the box.  A launch line that misses the box, or meets it only
+    at or beyond the plane, gives exactly 0.0.
+
+    Raises what :func:`coulomb_deflection` raises: :class:`StepLimitError` at
+    once when the path never reaches the plane (an orbit trapped in the box,
+    or a turn back inside it), and ``ValueError`` for a bad launch
+    (:func:`_check_launch`) or a field whose q E/m or |q B|/(m c) overflows.
+    """
+    end = _box_exit(particle, box, exit_plane_x)
+    if end is None:
+        return 0.0
+    return _turn_angle(*particle.v0.tolist(), *end[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,15 +794,16 @@ def deflection_at_distance(
 ) -> float:
     """Deflection angle with the source placed ``distance`` cm from the beam.
 
-    A point charge takes the exact orbit (:func:`coulomb_deflection`); box
-    sources are integrated with RK4 at step ``dt``.
+    A point charge takes the exact orbit (:func:`coulomb_deflection`), a box
+    source the exact piecewise path (:func:`box_deflection`); ``dt`` is
+    checked but no longer used.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     source = with_position(source_template, geometry.source_position(distance))
     if isinstance(source, PointCharge):
         return coulomb_deflection(particle, source, geometry.exit_plane_x)
-    return integrate_trajectory(particle, source, geometry.exit_plane_x, dt).deflection_angle
+    return box_deflection(particle, source, geometry.exit_plane_x)
 
 
 def critical_distance(
@@ -566,17 +821,14 @@ def critical_distance(
     Deflection must decrease monotonically with distance over ``bracket`` =
     (near, far): a coarse scan of five evenly spaced distances checks that,
     and that the bracket straddles ``phi_c``.  The adjacent pair of scan
-    samples that straddles ``phi_c`` then seeds Brent's method (R. P. Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 4), which
-    mixes inverse quadratic interpolation, secant steps and bisection while
-    always keeping the root bracketed.  It stops once the half-bracket is at
-    most 0.25 * ``rel_tol`` * |b|, where b is the current estimate, so the
-    returned distance lies within 0.5 * ``rel_tol`` * d of the root d
-    (``rel_tol`` is floored at 8 machine epsilons).  If ``phi_c`` equals a
-    sample's deflection exactly, that sample's distance is returned without
-    further evaluation.  Each deflection comes from
-    :func:`deflection_at_distance`: the exact orbit for a point charge, RK4
-    for a box source.
+    samples that straddles ``phi_c`` then seeds Brent's method
+    (:func:`_brent`).  It stops once the half-bracket is at most 0.25 *
+    ``rel_tol`` * |b|, where b is the current estimate, so the returned
+    distance lies within 0.5 * ``rel_tol`` * d of the root d (``rel_tol`` is
+    floored at 8 machine epsilons).  If ``phi_c`` equals a sample's
+    deflection exactly, that sample's distance is returned without further
+    evaluation.  Each deflection comes from :func:`deflection_at_distance`,
+    which is exact for every source, so a solve integrates nothing.
     """
     lo, hi = bracket
     if not 0 < lo < hi:
@@ -604,47 +856,7 @@ def critical_distance(
     i = next(k for k in range(len(angles) - 1) if angles[k + 1] < phi_c)
     a, fa = samples[i], angles[i] - phi_c
     b, fb = samples[i + 1], angles[i + 1] - phi_c
-    c, fc = a, fa
-    step = prev_step = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            # The root now lies between a and b.
-            c, fc = a, fa
-            step = prev_step = b - a
-        if abs(fc) < abs(fb):
-            # Keep b the end with the smaller residual.
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = max(0.25 * rel_tol, 2.0 * _EPS) * abs(b)
-        half = 0.5 * (c - b)
-        if abs(half) <= tol or fb == 0.0:
-            return b
-        if abs(prev_step) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                # Secant step.
-                p = 2.0 * half * s
-                q = 1.0 - s
-            else:
-                # Inverse quadratic interpolation through a, b and c.
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            # Accept the step only if it stays well inside the bracket and
-            # shrinks faster than the step before last; otherwise bisect.
-            if 2.0 * p < 3.0 * half * q - abs(tol * q) and p < abs(0.5 * prev_step * q):
-                prev_step, step = step, p / q
-            else:
-                step = prev_step = half
-        else:
-            step = prev_step = half
-        a, fa = b, fb
-        b += step if abs(step) > tol else math.copysign(tol, half)
-        fb = deflection(b) - phi_c
+    return _brent(lambda d: deflection(d) - phi_c, a, fa, b, fb, rel_tol)
 
 
 def light_deflection(M: float, b: float) -> float:

@@ -31,8 +31,10 @@ from .fields import (
     CGS,
     BeamGeometry,
     FieldSource,
+    PointCharge,
     ProtocolError,
     TestParticle,
+    box_deflection,
     closest_approach_point,
     eval_fields,
     integrate_trajectory,
@@ -228,12 +230,14 @@ def run_field_scan(
 ) -> ScanResult:
     """Execute the discrete scan on a calibrated interferometer.
 
-    For each source distance, the upper-path trajectory is integrated once
-    (the block decision is geometric and deterministic); the per-trial
-    detection probability is p1*p2 when the path is blocked and the calibrated
-    null otherwise.  Trials are seeded Bernoulli draws; the scan stops at the
-    first position with at least one detection.  Deflection must grow (weakly)
-    as the source approaches; a violation raises :class:`ProtocolError`.
+    For each source distance, the upper-path deflection is computed once
+    (the block decision is geometric and deterministic): on the exact
+    piecewise path for a box source, by RK4 at the scan's ``dt`` for a point
+    charge.  The per-trial detection probability is p1*p2 when the path is
+    blocked and the calibrated null otherwise.  Trials are seeded Bernoulli
+    draws; the scan stops at the first position with at least one detection.
+    Deflection must grow (weakly) as the source approaches; a violation
+    raises :class:`ProtocolError`.
     """
     p_null = detector_probability(model, NO_BLOCKS)
     if p_null >= CALIBRATED_NULL_TOL:
@@ -245,10 +249,14 @@ def run_field_scan(
     records: list[PositionRecord] = []
     previous_deflection = None
     previous_magnitude = None
+    exit_plane_x = config.geometry.exit_plane_x
     for k, distance in enumerate(config.positions):
         source = with_position(source_template, config.geometry.source_position(distance))
-        trajectory = integrate_trajectory(particle, source, config.geometry.exit_plane_x, config.dt)
-        deflection = trajectory.deflection_angle
+        if isinstance(source, PointCharge):
+            trajectory = integrate_trajectory(particle, source, exit_plane_x, config.dt)
+            deflection = trajectory.deflection_angle
+        else:
+            deflection = box_deflection(particle, source, exit_plane_x)
         if previous_deflection is not None and deflection < previous_deflection - 1e-12:
             raise ProtocolError(
                 "deflection decreased while the source approached the beam "

@@ -52,6 +52,11 @@ def particle_from(block: dict) -> TestParticle:
     return TestParticle(q=float(block["q"]), m=float(block["m"]), r0=block["r0"], v0=block["v0"])
 
 
+def geometry_from(block: dict) -> BeamGeometry:
+    return BeamGeometry(float(block["exit_plane_x"]), block["source_anchor"],
+                        block["approach_direction"])
+
+
 def grating_from(block: dict) -> GratingSpec:
     return GratingSpec(
         p_minus1=float(block["p_minus1"]),
@@ -138,8 +143,7 @@ def field_scan(p: dict, seed: int, magnetic: bool) -> tuple[dict, list[dict]]:
     """
     geom, cages, scan = p["geometry"], p["cages"], p["scan"]
     particle = particle_from(p["particle"])
-    geometry = BeamGeometry(float(geom["exit_plane_x"]), geom["source_anchor"],
-                            geom["approach_direction"])
+    geometry = geometry_from(geom)
     g = _gratings(p["gratings"])
     model = InterferometerModel(**g)
 
