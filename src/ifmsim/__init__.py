@@ -24,7 +24,6 @@ from .fields import (
     UniformBRegion,
     UniformERegion,
     box_deflection,
-    closest_approach_point,
     coulomb_deflection,
     critical_distance,
     deflection_at_distance,
@@ -32,6 +31,7 @@ from .fields import (
     integrate_trajectory,
     light_deflection,
     lorentz_force,
+    scan_row,
     sphere_radius_for_deflection,
     with_position,
 )

@@ -14,8 +14,9 @@ are exact: :func:`box_deflection` follows the straight line into the box, the
 parabola (uniform E) or helix (uniform B) inside it, and the straight line out
 to the plane, in O(1).  A point charge's deflection has a closed form too, the
 exact Kepler/Rutherford orbit (:func:`coulomb_deflection`).  Fixed-step RK4
-(:func:`integrate_trajectory`) is kept as the oracle for both, and the
-protocol's point-charge scan rows still run on it.  Brent's root-finder,
+(:func:`integrate_trajectory`) is kept as the oracle for both; the one
+other caller is :func:`scan_row`, the single place that computes a scan
+position, whose point-charge branch still runs on it.  Brent's root-finder,
 seeded with the bracketing pair from a coarse five-sample monotonicity scan,
 inverts deflection-vs-distance to the critical source distance for a given
 threshold angle on the exact deflections, so it integrates nothing.
@@ -776,15 +777,6 @@ def with_position(source: FieldSource, position) -> FieldSource:
     raise TypeError(f"unsupported field source {type(source).__name__}")
 
 
-def closest_approach_point(r0, v0, target) -> np.ndarray:
-    """Point on the straight line r0 + s*v0 (s >= 0 unrestricted) nearest to ``target``."""
-    r0 = _vec3(r0, "r0")
-    v0 = _vec3(v0, "v0")
-    target = _vec3(target, "target")
-    vhat = v0 / float(np.linalg.norm(v0))
-    return r0 + float((target - r0) @ vhat) * vhat
-
-
 def deflection_at_distance(
     particle: TestParticle,
     source_template: FieldSource,
@@ -804,6 +796,37 @@ def deflection_at_distance(
     if isinstance(source, PointCharge):
         return coulomb_deflection(particle, source, geometry.exit_plane_x)
     return box_deflection(particle, source, geometry.exit_plane_x)
+
+
+def scan_row(
+    particle: TestParticle,
+    source_template: FieldSource,
+    geometry: BeamGeometry,
+    distance: float,
+    dt: float,
+) -> tuple[float, float]:
+    """Deflection angle and field magnitude |E| + |B| of one scan position.
+
+    The source is placed ``distance`` cm from the beam.  A box source takes
+    the exact piecewise path (:func:`box_deflection`).  A point charge takes
+    RK4 at ``dt``: this branch is the one place a scan row integrates, and
+    the exact orbit replaces it under ROADMAP item 2.  The magnitude is read
+    where the launch line passes closest to the source's reference position;
+    |v0| comes from ``math.hypot``, so neither a tiny |v0| nor a far source
+    under- or overflows.
+    """
+    source = with_position(source_template, geometry.source_position(distance))
+    exit_x = geometry.exit_plane_x
+    if isinstance(source, PointCharge):
+        deflection = integrate_trajectory(particle, source, exit_x, dt).deflection_angle
+    else:
+        deflection = box_deflection(particle, source, exit_x)
+    speed = math.hypot(*particle.v0)
+    u = [v / speed for v in particle.v0.tolist()]
+    r0 = particle.r0.tolist()
+    s = sum((p - r) * c for p, r, c in zip(source.position.tolist(), r0, u))
+    E, B = eval_fields(source, [r + s * c for r, c in zip(r0, u)])
+    return deflection, math.hypot(*E) + math.hypot(*B)
 
 
 def critical_distance(

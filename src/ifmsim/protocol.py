@@ -27,19 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    CGS,
-    BeamGeometry,
-    FieldSource,
-    PointCharge,
-    ProtocolError,
-    TestParticle,
-    box_deflection,
-    closest_approach_point,
-    eval_fields,
-    integrate_trajectory,
-    with_position,
-)
+from .fields import CGS, BeamGeometry, FieldSource, ProtocolError, TestParticle, scan_row
 from .matter_mz import (
     BLOCK_UPPER,
     NO_BLOCKS,
@@ -216,12 +204,6 @@ class ScanResult:
     detected_v_final: np.ndarray | None
 
 
-def field_magnitude_at(source: FieldSource, point) -> float:
-    """Magnitude of the source's field (|E| + |B|; one of them is zero) at a point."""
-    E, B = eval_fields(source, point)
-    return float(np.linalg.norm(E) + np.linalg.norm(B))
-
-
 def run_field_scan(
     model: InterferometerModel,
     source_template: FieldSource,
@@ -230,11 +212,12 @@ def run_field_scan(
 ) -> ScanResult:
     """Execute the discrete scan on a calibrated interferometer.
 
-    For each source distance, the upper-path deflection is computed once
-    (the block decision is geometric and deterministic): on the exact
-    piecewise path for a box source, by RK4 at the scan's ``dt`` for a point
-    charge.  The per-trial detection probability is p1*p2 when the path is
-    blocked and the calibrated null otherwise.  Trials are seeded Bernoulli
+    For each source distance, :func:`fields.scan_row` computes the
+    upper-path deflection once (the block decision is geometric and
+    deterministic) and the field magnitude at closest approach; it is the
+    one place that decides how, and its point-charge rows run RK4 at the
+    scan's ``dt``.  The per-trial detection probability is p1*p2 when the
+    path is blocked and the calibrated null otherwise.  Trials are seeded Bernoulli
     draws; the scan stops at the first position with at least one detection.
     Deflection must grow (weakly) as the source approaches; a violation
     raises :class:`ProtocolError`.
@@ -249,23 +232,16 @@ def run_field_scan(
     records: list[PositionRecord] = []
     previous_deflection = None
     previous_magnitude = None
-    exit_plane_x = config.geometry.exit_plane_x
     for k, distance in enumerate(config.positions):
-        source = with_position(source_template, config.geometry.source_position(distance))
-        if isinstance(source, PointCharge):
-            trajectory = integrate_trajectory(particle, source, exit_plane_x, config.dt)
-            deflection = trajectory.deflection_angle
-        else:
-            deflection = box_deflection(particle, source, exit_plane_x)
+        deflection, magnitude = scan_row(
+            particle, source_template, config.geometry, distance, config.dt
+        )
         if previous_deflection is not None and deflection < previous_deflection - 1e-12:
             raise ProtocolError(
                 "deflection decreased while the source approached the beam "
                 f"({previous_deflection:.3e} -> {deflection:.3e} at {distance} cm)"
             )
         previous_deflection = deflection
-
-        approach = closest_approach_point(particle.r0, particle.v0, source.position)
-        magnitude = field_magnitude_at(source, approach)
 
         blocked = deflection > config.phi_c
         p_detect = p_blocked if blocked else p_null
