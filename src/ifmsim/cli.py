@@ -32,8 +32,9 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, runners
-from .fields import CGS, _check_launch, light_deflection
+from .fields import CGS, _check_launch, light_deflection, with_position
 from .photon_mz import ARMS, MAX_CYCLES
+from .protocol import ab_phase, potential_phase
 from .records import ResultRecord, make_metadata, record_text, scan_table_text
 
 MAX_SEED = 2**64 - 1
@@ -278,22 +279,41 @@ def _check_gravity(p: dict) -> list[str]:
 
 
 def _check_scan(p: dict, magnetic: bool) -> list[str]:
-    """Check the launch, the source strength and the trial count before any compute runs."""
+    """Check the launch, the phases, the source and the trial count before any compute runs."""
     errors = []
-    particle = p["particle"]
+    particle, cages = p["particle"], p["cages"]
+    q = float(particle["q"])
     try:
         _check_launch(float(particle["r0"][0]), float(particle["v0"][0]),
                       float(p["geometry"]["exit_plane_x"]))
     except ValueError as exc:
         errors.append(f"parameters.particle: {exc}")
+    try:
+        potential_phase(q, float(cages["potential_lower"]) - float(cages["potential_upper"]),
+                        float(cages["transit_time"]))
+    except ValueError as exc:
+        errors.append(f"parameters.cages: {exc}")
     # q/m times the source strength sets the force; past the float range the
     # path is NaN (and RK4 would run to its step cap).
-    q_m = float(particle["q"]) / float(particle["m"])
+    q_m = q / float(particle["m"])
     if magnetic:
         try:
-            runners.field_region_from(p)
+            ab_phase(q, float(p["enclosed_flux"]))
+        except ValueError as exc:
+            errors.append(f"parameters.enclosed_flux: {exc}")
+        try:
+            box = runners.field_region_from(p)
         except ValueError as exc:
             errors.append(f"parameters.box_half_widths: {exc}")
+        else:
+            # The rows place the box the same way; a far position can round its extent to 0.
+            geometry = runners.geometry_from(p["geometry"])
+            positions = p["scan"]["positions"]
+            try:
+                for distance in (positions[0], positions[-1]):
+                    with_position(box, geometry.source_position(distance))
+            except ValueError as exc:
+                errors.append(f"parameters.scan.positions: {exc}")
         gyro = math.hypot(*(q_m / CGS.c * b for b in p["field_vector"]))
         if not math.isfinite(gyro):
             errors.append(f"parameters.field_vector: the gyrofrequency |q B|/(m c) is {gyro}, "

@@ -191,10 +191,13 @@ def eval_fields(source: FieldSource, r) -> tuple[np.ndarray, np.ndarray]:
     zero = np.zeros(3)
     if isinstance(source, PointCharge):
         d = r - source.position
-        dist2 = float(d @ d)
-        if dist2 == 0.0:
+        dist = math.hypot(*d)
+        if dist == 0.0:
             raise ValueError("field evaluated at the point-charge position")
-        return source.q * d / dist2**1.5, zero
+        if dist < 1e100 and abs(source.q) * dist < 1e300:
+            return source.q * d / (dist * dist) ** 1.5, zero
+        # Where q*d or dist^3 could overflow, dividing first cannot.
+        return source.q / dist / dist * (d / dist), zero
     if isinstance(source, UniformBRegion):
         inside = bool(np.all(r >= source.box_min) and np.all(r <= source.box_max))
         return zero, source.B.copy() if inside else zero.copy()

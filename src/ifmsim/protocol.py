@@ -75,18 +75,25 @@ def potential_phase(q: float, delta_V: float, transit_time: float) -> float:
     """Phase -q*dV*T/hbar picked up in a region of uniform potential, mod 2*pi.
 
     q in statC, delta_V in statV, transit_time in s; returns radians in
-    [0, 2*pi).
+    [0, 2*pi).  A phase that is not a finite float raises ``ValueError``.
     """
-    return wrap_phase(-q * delta_V * transit_time / CGS.hbar)
+    return _finite_phase(-q * delta_V * transit_time / CGS.hbar, "potential phase -q dV T/hbar")
 
 
 def ab_phase(q: float, flux: float) -> float:
     """Phase q*flux/(hbar*c) from magnetic flux enclosed between the paths, mod 2*pi.
 
     Acquired through the vector potential even where the field itself
-    vanishes along both paths.
+    vanishes along both paths.  A phase that is not a finite float raises
+    ``ValueError``.
     """
-    return wrap_phase(q * flux / (CGS.hbar * CGS.c))
+    return _finite_phase(q * flux / (CGS.hbar * CGS.c), "Aharonov-Bohm phase q flux/(hbar c)")
+
+
+def _finite_phase(phase: float, name: str) -> float:
+    if not math.isfinite(phase):
+        raise ValueError(f"the {name} is {phase}, not a finite float")
+    return wrap_phase(phase)
 
 
 def calibrate(model: InterferometerModel, setup: CalibrationSetup, q: float) -> CalibrationResult:
@@ -96,7 +103,8 @@ def calibrate(model: InterferometerModel, setup: CalibrationSetup, q: float) -> 
     phase convention): the potential term uses dV = V_lower - V_upper and the
     flux term adds q*flux/(hbar*c).  No trajectory is integrated - inside the
     cages there is no force, only phase.  An imperfect null (unequal path
-    weights) is propagated through the attached :class:`NullSolution`.
+    weights) is propagated through the attached :class:`NullSolution`.  A
+    phase that is not a finite float raises ``ValueError`` naming it.
     """
     delta_v = setup.cage_potential_lower - setup.cage_potential_upper
     arm = wrap_phase(

@@ -15,8 +15,6 @@ import json
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 SIGNIFICANT_DIGITS = 12
 
 SCAN_COLUMNS = (
@@ -32,15 +30,9 @@ SCAN_COLUMNS = (
 
 
 def round_floats(obj):
-    """Recursively round floats to 12 significant digits; coerce numpy types."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.{SIGNIFICANT_DIGITS}g}")
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [round_floats(v) for v in obj.tolist()]
+    """Recursively round floats (numpy's float64 among them) to 12 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.{SIGNIFICANT_DIGITS}g}")
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -459,6 +459,67 @@ class TestMainExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "scenario, parameters, field",
+        [
+            ("field_scan_electric", {"source_charge": 5e-6, "cages": {"potential_lower": 1e300}},
+             "parameters.cages"),
+            ("field_scan_magnetic", {"field_vector": [0.0, 0.0, 1e-3], "enclosed_flux": 1e308},
+             "parameters.enclosed_flux"),
+        ],
+        ids=["cage-potential", "enclosed-flux"],
+    )
+    def test_calibration_phase_overflow_exits_2(self, scenario, parameters, field, tmp_path,
+                                                capsys):
+        # Each exited 1 after calibration: "third_grating_phase must lie in [0, 2*pi)".
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "seed": 1, "parameters": parameters}))
+        start = time.perf_counter()
+        assert main(["run", str(cfg)]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert err.startswith(f"configuration errors:\n  {field}: the ")
+        assert "not a finite float" in err
+        assert out == ""
+
+    def test_far_magnetic_position_exits_2(self, tmp_path, capsys):
+        # The box moved to 1e200 cm rounds to zero extent: it exited 1 after calibration.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "field_scan_magnetic", "seed": 1,
+            "parameters": {"field_vector": [0.0, 0.0, 1e-3], "scan": {"positions": [1e200, 0.06]}},
+        }))
+        assert main(["run", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("configuration errors:\n  parameters.scan.positions: "
+                       "field region box must have positive extent\n")
+        assert out == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_electric_position_reads_a_zero_row(self, tmp_path):
+        # The squared offset overflowed in eval_fields; under -W error that exited 1.
+        out = tmp_path / "out.json"
+        assert main(["field-scan-electric", "--source-charge", "5e-6",
+                     "--positions", "1e200,0.4", "--output", str(out)]) == 0
+        row = json.loads(out.read_text())["payload"]["results"]["per_position"][0]
+        assert (row["distance_cm"], row["deflection_rad"], row["field_magnitude"]) == (
+            1e200, 0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_speed_magnetic_scan_ends_in_the_box_path(self, tmp_path, capsys):
+        # The approach point divided by |v0| = 0 and raised "r must be finite".
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "field_scan_magnetic", "seed": 1,
+            "parameters": {"field_vector": [0.0, 0.0, 1e-3],
+                           "particle": {"q": -4.8e-10, "m": 9.11e-28, "r0": [-0.5, 0, 0],
+                                        "v0": [1e-300, 0, 0]}},
+        }))
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error [field_scan_magnetic]: exit plane not reached: "
+            "the path turns back in the field box\n")
+
+    @pytest.mark.parametrize(
         "doc, extra, field",
         [
             ({"scenario": ["ev_bomb"], "seed": 1}, [], "scenario"),

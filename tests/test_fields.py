@@ -25,6 +25,7 @@ from ifmsim.fields import (
     integrate_trajectory,
     light_deflection,
     lorentz_force,
+    scan_row,
     sphere_radius_for_deflection,
     with_position,
     _acceleration_fn,
@@ -83,6 +84,17 @@ class TestEvalFields:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             UniformBRegion(B=[0, 0, 1.0], box_min=[0, 0, 0], box_max=[0, 1, 1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "q, y", [(5e-6, 1e200), (1e290, 1e150), (1e300, 1e10), (1.0, 2e100), (-3.0, 1e99)]
+    )
+    def test_far_point_charge_is_inverse_square_without_overflow(self, q, y):
+        # (1e200)^2 overflowed in the squared offset, and 1e300 * 1e10 in q*d,
+        # each with a RuntimeWarning.
+        E, B = eval_fields(PointCharge(q=q, position=[0.0, y, 0.0]), [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(E, [0.0, -q / y / y, 0.0], rtol=1e-15, atol=0.0)
+        assert not B.any()
 
 
 class TestLorentzForce:
@@ -596,6 +608,49 @@ class TestLaunchCheck:
         particle = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=r0, v0=v0)
         with pytest.raises(ValueError, match="^particle must start before the exit plane, moving"):
             deflect(particle)
+
+
+class TestScanRow:
+    def test_point_charge_row_is_rk4_at_dt(self, count_calls):
+        # Through the module global, so that a tracer of fields sees the call.
+        trajectories = count_calls("integrate_trajectory")
+        src = PointCharge(q=5e-6, position=[0, 1, 0])
+        deflection, magnitude = scan_row(beam_particle(), src, beam_geometry(), 0.2, 1e-11)
+        placed = with_position(src, [0.0, 0.2, 0.0])
+        assert len(trajectories) == 1
+        assert deflection == integrate_trajectory(beam_particle(), placed, 0.5, 1e-11).deflection_angle
+        assert magnitude == pytest.approx(5e-6 / 0.2**2, rel=1e-12)
+
+    @pytest.mark.parametrize("distance, inside", [(0.06, True), (0.3, False)])
+    def test_box_row_is_the_exact_path(self, count_calls, distance, inside):
+        trajectories = count_calls("integrate_trajectory")
+        src = UniformBRegion(B=[0, 0, 1e-3], box_min=[-0.2, -0.08, -0.2], box_max=[0.2, 0.08, 0.2])
+        deflection, magnitude = scan_row(beam_particle(), src, beam_geometry(), distance, 1e-11)
+        placed = with_position(src, [0.0, distance, 0.0])
+        assert trajectories == []
+        assert deflection == box_deflection(beam_particle(), placed, 0.5)
+        assert (deflection > 0.0) == inside
+        assert magnitude == (1e-3 if inside else 0.0)
+
+    def test_magnitude_on_an_oblique_launch_line(self):
+        # The line r0 + s*v0 passes (1, 1, 0) nearest to the charge at (2, 0, d).
+        particle = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[-1.0, -1.0, 0.0],
+                                v0=[3e7, 3e7, 0.0])
+        geometry = BeamGeometry(exit_plane_x=5.0, source_anchor=[2.0, 0.0, 0.0],
+                                approach_direction=[0.0, 0.0, 1.0])
+        src = PointCharge(q=1e-12, position=[0.0, 0.0, 0.0])
+        _, magnitude = scan_row(particle, src, geometry, 0.5, 1e-10)
+        assert magnitude == pytest.approx(1e-12 / (2.0 + 0.5**2), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_source_and_tiny_speed_do_not_overflow(self):
+        # The numpy approach point divided by a |v0| that underflowed to 0.
+        far = scan_row(beam_particle(), PointCharge(q=5e-6, position=[0, 0, 0]),
+                       beam_geometry(), 1e200, 1e-11)
+        assert far == (0.0, 0.0)
+        slow = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[-0.5, 0.0, 0.0], v0=[1e-300, 0, 0])
+        src = UniformBRegion(B=[0, 0, 1e-3], box_min=[-0.2, -0.08, -0.2], box_max=[0.2, 0.08, 0.2])
+        assert scan_row(slow, src, beam_geometry(), 0.3, 1e-11) == (0.0, 0.0)
 
 
 class TestCriticalDistance:

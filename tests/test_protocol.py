@@ -177,6 +177,16 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             CalibrationSetup(transit_time=0.0)
 
+    @pytest.mark.parametrize(
+        "setup, name",
+        [(CalibrationSetup(transit_time=1e-8, cage_potential_lower=1e300), "potential phase"),
+         (CalibrationSetup(transit_time=1e-8, enclosed_flux=1e308), "Aharonov-Bohm phase")],
+    )
+    def test_nonfinite_phase_is_named(self, setup, name):
+        # It surfaced as "third_grating_phase must lie in [0, 2*pi)".
+        with pytest.raises(ValueError, match=f"the {name} .* is -?inf, not a finite float"):
+            calibrate(symmetric_model(), setup, ELECTRON_Q)
+
 
 class TestRequiredTrials:
     def test_quarter_probability(self):
