@@ -263,6 +263,31 @@ class TestIntegrateTrajectory:
             "1ae1255711bfe771e46c8902e4d33fd71cb0b5ab0d24d13a31b93ce10579c9ea"
         )
 
+    @pytest.mark.parametrize(
+        "source, n, expected",
+        [
+            (PointCharge(q=5e-6, position=[0.05, 0.2, 0.1]), 1001,
+             "ffbff908fef6baf5f8e2c603e2558493be75c6b4a71dfca8e3c24b3c17c1a36c"),
+            (UniformBRegion(B=[0.3, -0.2, 1.0], box_min=[-0.2, -0.1, -0.15],
+                            box_max=[0.25, 0.1, 0.1]), 1003,
+             "b07066c853d45ba55dd422a943fa2bb5aefff00ff9b4fffcada8920d3e1979ef"),
+            (UniformERegion(E=[1e-3, 2e-3, -3e-4], box_min=[-0.2, -0.1, -0.15],
+                            box_max=[0.25, 0.1, 0.1]), 1013,
+             "cd00651b9133d4540339abb2bae33f55eee74591e011036386ed6d6ebd37f05a"),
+        ],
+        ids=["coulomb-3d", "oblique-B-box", "oblique-E-box"],
+    )
+    def test_3d_samples_match_recorded_digest(self, source, n, expected):
+        """A non-planar pass, every z term nonzero, pinned bit for bit for each source kind."""
+        particle = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[-0.5, 0.01, -0.02],
+                                v0=[BEAM_SPEED, 2e5, -3e5])
+        result = integrate_trajectory(particle, source, 0.5, 1e-11)
+        digest = hashlib.sha256()
+        for samples in (result.t, result.r, result.v):
+            digest.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
+        assert result.r.shape == result.v.shape == (n, 3)
+        assert digest.hexdigest() == expected
+
     def test_relativistic_particle_rejected(self):
         with pytest.raises(ValueError):
             TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[0, 0, 0], v0=[0.02 * CGS.c, 0, 0])
