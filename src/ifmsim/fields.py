@@ -219,24 +219,14 @@ def lorentz_force(q: float, v, E, B) -> np.ndarray:
     return q * (E + (np.cross(v, B) - np.cross(B, v)) / (2.0 * CGS.c))
 
 
-def _acceleration_fn(particle: TestParticle, source: FieldSource):
-    """Specialized scalar acceleration a(r, v) for the RK4 hot loop.
+def _acceleration_fn(particle: TestParticle, source: UniformBRegion | UniformERegion):
+    """Specialized scalar acceleration a(r, v) of a field box, for :func:`_rk4_step`.
 
     Each branch is the scalar expansion of lorentz_force(q, v,
     *eval_fields(source, r)) / m; the equivalence is pinned by the test
     suite.
     """
     qm = particle.q / particle.m
-    if isinstance(source, PointCharge):
-        k = qm * source.q
-        sx, sy, sz = (float(c) for c in source.position)
-
-        def accel(x, y, z, vx, vy, vz):
-            dx, dy, dz = x - sx, y - sy, z - sz
-            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-            return k * dx * inv, k * dy * inv, k * dz * inv
-
-        return accel
     if isinstance(source, UniformERegion):
         ax0, ay0, az0 = (qm * float(c) for c in source.E)
         lx, ly, lz = (float(c) for c in source.box_min)
@@ -265,6 +255,71 @@ def _acceleration_fn(particle: TestParticle, source: FieldSource):
 
         return accel
     raise TypeError(f"unsupported field source {type(source).__name__}")
+
+
+def _rk4_step(particle: TestParticle, source: FieldSource):
+    """One classical RK4 step, step(x, y, z, vx, vy, vz, h) -> the state after h.
+
+    For a point charge the four stages write the Coulomb acceleration
+    k d / |d|^3 (k = q Q / m, d = r - source) out in place, in the operation
+    order of the scalar expansion of lorentz_force(q, v, *eval_fields(source,
+    r)) / m, so the step is bit for bit the one that calls an acceleration
+    function per stage; 0.5 * h * v already evaluates as (0.5 * h) * v.  A box
+    source runs the same stages over its :func:`_acceleration_fn` closure.
+    """
+    if isinstance(source, PointCharge):
+        k = particle.q / particle.m * source.q
+        sx, sy, sz = (float(c) for c in source.position)
+
+        def step(x, y, z, vx, vy, vz, h):
+            half = 0.5 * h
+            dx, dy, dz = x - sx, y - sy, z - sz
+            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+            a1x, a1y, a1z = k * dx * inv, k * dy * inv, k * dz * inv
+            dx, dy, dz = x + half * vx - sx, y + half * vy - sy, z + half * vz - sz
+            v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+            a2x, a2y, a2z = k * dx * inv, k * dy * inv, k * dz * inv
+            dx, dy, dz = x + half * v2x - sx, y + half * v2y - sy, z + half * v2z - sz
+            v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+            a3x, a3y, a3z = k * dx * inv, k * dy * inv, k * dz * inv
+            dx, dy, dz = x + h * v3x - sx, y + h * v3y - sy, z + h * v3z - sz
+            v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+            six = h / 6.0
+            return (
+                x + six * (vx + 2.0 * (v2x + v3x) + v4x),
+                y + six * (vy + 2.0 * (v2y + v3y) + v4y),
+                z + six * (vz + 2.0 * (v2z + v3z) + v4z),
+                vx + six * (a1x + 2.0 * (a2x + a3x) + k * dx * inv),
+                vy + six * (a1y + 2.0 * (a2y + a3y) + k * dy * inv),
+                vz + six * (a1z + 2.0 * (a2z + a3z) + k * dz * inv),
+            )
+
+        return step
+    accel = _acceleration_fn(particle, source)
+
+    def step(x, y, z, vx, vy, vz, h):
+        half = 0.5 * h
+        a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
+        v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+        a2x, a2y, a2z = accel(x + half * vx, y + half * vy, z + half * vz, v2x, v2y, v2z)
+        v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+        a3x, a3y, a3z = accel(x + half * v2x, y + half * v2y, z + half * v2z, v3x, v3y, v3z)
+        v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+        a4x, a4y, a4z = accel(x + h * v3x, y + h * v3y, z + h * v3z, v4x, v4y, v4z)
+        six = h / 6.0
+        return (
+            x + six * (vx + 2.0 * (v2x + v3x) + v4x),
+            y + six * (vy + 2.0 * (v2y + v3y) + v4y),
+            z + six * (vz + 2.0 * (v2z + v3z) + v4z),
+            vx + six * (a1x + 2.0 * (a2x + a3x) + a4x),
+            vy + six * (a1y + 2.0 * (a2y + a3y) + a4y),
+            vz + six * (a1z + 2.0 * (a2z + a3z) + a4z),
+        )
+
+    return step
 
 
 def _deflection_between(v0: np.ndarray, v1: np.ndarray) -> float:
@@ -319,7 +374,7 @@ def integrate_trajectory(
     vx, vy, vz = (float(c) for c in particle.v0)
     direction = _check_launch(x, vx, exit_plane_x)
 
-    accel = _acceleration_fn(particle, source)
+    step = _rk4_step(particle, source)
     guard_point = isinstance(source, PointCharge)
     if guard_point:
         gx, gy, gz = (float(c) for c in source.position)
@@ -334,28 +389,9 @@ def integrate_trajectory(
                     (4.0 * dt) ** (2.0 / 3.0) * (2.0 * k) ** (1.0 / 3.0))
         reach2 = reach * reach
 
-    def rk4(x, y, z, vx, vy, vz, h):
-        a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
-        hx, hy, hz = x + 0.5 * h * vx, y + 0.5 * h * vy, z + 0.5 * h * vz
-        v2x, v2y, v2z = vx + 0.5 * h * a1x, vy + 0.5 * h * a1y, vz + 0.5 * h * a1z
-        a2x, a2y, a2z = accel(hx, hy, hz, v2x, v2y, v2z)
-        hx, hy, hz = x + 0.5 * h * v2x, y + 0.5 * h * v2y, z + 0.5 * h * v2z
-        v3x, v3y, v3z = vx + 0.5 * h * a2x, vy + 0.5 * h * a2y, vz + 0.5 * h * a2z
-        a3x, a3y, a3z = accel(hx, hy, hz, v3x, v3y, v3z)
-        hx, hy, hz = x + h * v3x, y + h * v3y, z + h * v3z
-        v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
-        a4x, a4y, a4z = accel(hx, hy, hz, v4x, v4y, v4z)
-        six = h / 6.0
-        return (
-            x + six * (vx + 2.0 * (v2x + v3x) + v4x),
-            y + six * (vy + 2.0 * (v2y + v3y) + v4y),
-            z + six * (vz + 2.0 * (v2z + v3z) + v4z),
-            vx + six * (a1x + 2.0 * (a2x + a3x) + a4x),
-            vy + six * (a1y + 2.0 * (a2y + a3y) + a4y),
-            vz + six * (a1z + 2.0 * (a2z + a3z) + a4z),
-        )
-
-    rows = [(0.0, x, y, z, vx, vy, vz)]
+    # One time per sample, and the samples' states back to back, six floats each.
+    times = [0.0]
+    states = [x, y, z, vx, vy, vz]
     t = 0.0
     for _ in range(max_steps):
         if guard_point:
@@ -370,41 +406,42 @@ def integrate_trajectory(
                     raise SingularityError(
                         f"trajectory within {singularity_cutoff} cm of the point source"
                     )
-        nx, ny, nz, nvx, nvy, nvz = rk4(x, y, z, vx, vy, vz, dt)
+        state = step(x, y, z, vx, vy, vz, dt)
+        nx = state[0]
         # Written so that a NaN x also takes the branch: the test costs nothing extra.
         if not (exit_plane_x - nx) * direction > 0.0:
             if not math.isfinite(nx):
-                raise FloatingPointError(f"trajectory state not finite after {len(rows)} steps")
+                raise FloatingPointError(f"trajectory state not finite after {len(times)} steps")
             # Crossed the plane inside this step: refine the substep onto it.
             h = dt * (exit_plane_x - x) / (nx - x)
             for _ in range(3):
                 h = min(max(h, 1e-15 * dt), dt)
-                nx, ny, nz, nvx, nvy, nvz = rk4(x, y, z, vx, vy, vz, h)
-                miss = exit_plane_x - nx
+                state = step(x, y, z, vx, vy, vz, h)
+                miss, nvx = exit_plane_x - state[0], state[3]
                 if nvx == 0.0 or abs(miss) <= 1e-15 * (abs(exit_plane_x) + dt * abs(nvx)):
                     break
                 h += miss / nvx
             else:
                 h = min(max(h, 1e-15 * dt), dt)
-                nx, ny, nz, nvx, nvy, nvz = rk4(x, y, z, vx, vy, vz, h)
-            x, y, z, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
-            rows.append((t + h, x, y, z, vx, vy, vz))
+                state = step(x, y, z, vx, vy, vz, h)
+            times.append(t + h)
+            states.extend(state)
             break
-        x, y, z, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
+        x, y, z, vx, vy, vz = state
         t += dt
-        rows.append((t, x, y, z, vx, vy, vz))
+        times.append(t)
+        states.extend(state)
     else:
         raise StepLimitError(f"exit plane not reached within {max_steps} steps")
-    if not all(map(math.isfinite, rows[-1])):
+    if not (math.isfinite(times[-1]) and all(map(math.isfinite, state))):
         raise FloatingPointError("trajectory state not finite on the exit plane")
 
-    v_final = np.array((vx, vy, vz))
-    samples = np.array(rows)
+    samples = np.array(states).reshape(-1, 6)
     return TrajectoryResult(
-        t=samples[:, 0],
-        r=samples[:, 1:4],
-        v=samples[:, 4:7],
-        deflection_angle=_deflection_between(particle.v0, v_final),
+        t=np.array(times),
+        r=samples[:, :3],
+        v=samples[:, 3:],
+        deflection_angle=_deflection_between(particle.v0, np.array(state[3:])),
     )
 
 

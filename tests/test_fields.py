@@ -29,6 +29,7 @@ from ifmsim.fields import (
     sphere_radius_for_deflection,
     with_position,
     _acceleration_fn,
+    _rk4_step,
     _box_exit,
     box_deflection,
     _check_launch,
@@ -128,7 +129,6 @@ class TestLorentzForce:
         rng = np.random.default_rng(8)
         particle = beam_particle()
         sources = [
-            PointCharge(q=5e-6, position=[0.0, 0.2, 0.0]),
             UniformBRegion(B=[0.3, -0.2, 1.0], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
             UniformERegion(E=[1e-5, 2e-5, -3e-6], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
         ]
@@ -141,6 +141,41 @@ class TestLorentzForce:
                 E, B = eval_fields(src, r)
                 slow = lorentz_force(particle.q, v, E, B) / particle.m
                 np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-30)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            PointCharge(q=5e-6, position=[0.0, 0.2, 0.0]),
+            UniformBRegion(B=[0.3, -0.2, 1.0], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
+            UniformERegion(E=[1e-5, 2e-5, -3e-6], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
+        ],
+        ids=["point-charge", "B-box", "E-box"],
+    )
+    def test_rk4_step_matches_force_api(self, source):
+        """One fused RK4 step equals an RK4 step over lorentz_force(eval_fields)/m."""
+        rng = np.random.default_rng(9)
+        particle = beam_particle()
+
+        def accel(r, v):
+            return lorentz_force(particle.q, v, *eval_fields(source, r)) / particle.m
+
+        step = _rk4_step(particle, source)
+        for _ in range(200):
+            r = rng.uniform(-2, 2, 3)
+            v = rng.uniform(-1, 1, 3) * BEAM_SPEED
+            h = float(rng.uniform(0.1, 1.0)) * 1e-11
+            a1 = accel(r, v)
+            v2 = v + 0.5 * h * a1
+            a2 = accel(r + 0.5 * h * v, v2)
+            v3 = v + 0.5 * h * a2
+            a3 = accel(r + 0.5 * h * v2, v3)
+            v4 = v + h * a3
+            a4 = accel(r + h * v3, v4)
+            slow_r = r + h / 6.0 * (v + 2.0 * (v2 + v3) + v4)
+            slow_v = v + h / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
+            fast = np.array(step(*r, *v, h))
+            np.testing.assert_allclose(fast[:3], slow_r, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(fast[3:], slow_v, rtol=1e-12, atol=1e-30)
 
 
 class TestIntegrateTrajectory:
