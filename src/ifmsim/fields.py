@@ -445,14 +445,25 @@ def integrate_trajectory(
     )
 
 
-def _first_root(a: float, b: float, c: float) -> float:
-    """Smallest theta in (0, 2*pi] with a*cos(theta) + b*sin(theta) = c; inf if none."""
+def _first_root(a: float, b: float, c: float, c_minus_a: float) -> float:
+    """Smallest theta in (0, 2*pi] with a*cos(theta) + b*sin(theta) = c; inf if none.
+
+    In t = tan(theta/2) the equation reads (a + c) t^2 - 2 b t + (c - a) = 0.
+    Its roots are taken in the stable forms q / (a + c) and (c - a) / q, with
+    q = b + sign(b) sqrt(a^2 + b^2 - c^2), so a small theta keeps its relative
+    precision; atan2(b, a) - acos(c / |(a, b)|) would lose it to the
+    difference of two angles of order 1.  The caller passes ``c_minus_a``,
+    which it knows without that cancellation.  A vanishing a + c puts the
+    first root at theta = pi.
+    """
     amp = math.hypot(a, b)
     if amp == 0.0 or abs(c) > amp:
         return math.inf
-    base = math.atan2(b, a)
-    half = math.acos(c / amp)
-    return min((base + half) % _TWO_PI or _TWO_PI, (base - half) % _TWO_PI or _TWO_PI)
+    q = b + math.copysign(math.sqrt((amp - c) * (amp + c)), b)
+    roots = [math.pi if a + c == 0.0 else 2.0 * math.atan(q / (a + c))]
+    if q != 0.0:
+        roots.append(2.0 * math.atan(c_minus_a / q))
+    return min(theta if theta > 0.0 else theta + _TWO_PI for theta in roots)
 
 
 def coulomb_deflection(
@@ -491,11 +502,15 @@ def coulomb_deflection(
     if r0 < singularity_cutoff:  # also keeps r0 = 0 out of the divisions below
         raise SingularityError(f"trajectory within {singularity_cutoff} cm of the point source")
     mu = -particle.q * charge.q / particle.m
-    hx, hy, hz = ry * vz - rz * vy, rz * vx - rx * vz, rx * vy - ry * vx
-    h = math.hypot(hx, hy, hz)
-    radial_speed = (rx * vx + ry * vy + rz * vz) / r0
+    # r0_hat, and l = r0_hat x v0, so that h = r0 |l| and no product of r0
+    # with a speed overflows before it is needed.
+    ux, uy, uz = rx / r0, ry / r0, rz / r0
+    lx, ly, lz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    ell = math.hypot(lx, ly, lz)
+    h = r0 * ell
+    radial_speed = ux * vx + uy * vy + uz * vz
 
-    if h == 0.0:
+    if ell == 0.0:
         # Radial line through the charge: the velocity keeps its direction, so
         # the particle leaves undeflected unless it falls in or turns back.
         rho_plane = (exit_plane_x - sx) * r0 / rx
@@ -512,15 +527,16 @@ def coulomb_deflection(
         A = 1.0 / r0 - p
         B = -radial_speed / h
         # r0_hat and t0_hat = h_hat x r0_hat span the orbital plane.
-        ux, uy, uz = rx / r0, ry / r0, rz / r0
-        hr = h * r0
-        tx, ty, tz = (hy * rz - hz * ry) / hr, (hz * rx - hx * rz) / hr, (hx * ry - hy * rx) / hr
-        # x(theta) = X  <=>  u(theta) (X - sx) = cos(theta) ux + sin(theta) tx.
+        tx, ty, tz = (ly * uz - lz * uy) / ell, (lz * ux - lx * uz) / ell, (lx * uy - ly * ux) / ell
+        # x(theta) = X  <=>  u(theta) (X - sx) = cos(theta) ux + sin(theta) tx,
+        # and there c - a = (X - x0) / r0 exactly.
         offset = exit_plane_x - sx
         theta_exit = _first_root(
-            (x0 - exit_plane_x) / r0 + offset * p, tx - offset * B, offset * p
+            (x0 - exit_plane_x) / r0 + offset * p, tx - offset * B, offset * p,
+            (exit_plane_x - x0) / r0,
         )
-        theta_escape = _first_root(A, B, -p)  # where u reaches 0; inf on a bound orbit
+        # Where u reaches 0, with c - a = -1/r0; inf on a bound orbit.
+        theta_escape = _first_root(A, B, -p, -1.0 / r0)
         reached = theta_exit < theta_escape
         theta_end = theta_exit if reached else min(theta_escape, _TWO_PI)
         # u = p + |(A, B)| cos(theta - periapsis) peaks at the periapsis.
@@ -533,7 +549,7 @@ def coulomb_deflection(
         raise SingularityError(f"trajectory within {singularity_cutoff} cm of the point source")
     if not reached:
         raise StepLimitError("exit plane not reached: the orbit turns back before it")
-    if h == 0.0:
+    if ell == 0.0:
         return 0.0
 
     # dv = (mu/h) (t_hat(theta) - t0_hat)

@@ -1,5 +1,6 @@
 """Field evaluation, Lorentz-force numerics, trajectory bending, gravity formulas."""
 
+import decimal
 import hashlib
 import math
 import time
@@ -374,6 +375,68 @@ def hyperbola_deflection(source_charge: float, distance: float) -> float:
     return math.atan2(abs(dv_y), BEAM_SPEED + dv_x)
 
 
+def _decimal_sin_cos(x: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """Taylor series for sin(x) and cos(x), |x| <= 4, in the current decimal context."""
+    sin, cos, term, n = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1), 0
+    while True:
+        if n % 2:
+            sin += term if n % 4 == 1 else -term
+        else:
+            cos += term if n % 4 == 0 else -term
+        n += 1
+        term = term * x / n
+        if abs(term) <= abs(x) * decimal.Decimal(10) ** -(decimal.getcontext().prec + 5):
+            return sin, cos
+
+
+def _decimal_atan(z: decimal.Decimal) -> decimal.Decimal:
+    """atan(z) for z >= 0: halve the angle until z < 0.1, then sum the series."""
+    halvings = 0
+    while z >= decimal.Decimal("0.1"):
+        z = z / (1 + (1 + z * z).sqrt())
+        halvings += 1
+    total, term, n = decimal.Decimal(0), z, 1
+    while abs(term) > abs(z) * decimal.Decimal(10) ** -(decimal.getcontext().prec + 5):
+        total += term / n if n % 4 == 1 else -term / n
+        term, n = term * z * z, n + 2
+    return total * 2**halvings
+
+
+def decimal_coulomb_deflection(source_charge: float, distance: float) -> decimal.Decimal:
+    """The default beam's deflection by a charge at (0, distance, 0), in 40-digit decimal.
+
+    The same Binet orbit as :func:`coulomb_deflection`, u(theta) = p + A cos(theta)
+    + B sin(theta), in the plane z = 0, for the exact binary values of the
+    float inputs.  The exit angle comes from Newton's method on a cos(theta) +
+    b sin(theta) = c, started from the straight line's sweep 2 atan(0.5/d),
+    with decimal Taylor series for sin and cos: no closed-form root.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=40, Emin=-99999, Emax=99999)):
+        speed, d = D(BEAM_SPEED), D(distance)
+        mu = -D(ELECTRON_Q) * D(source_charge) / D(ELECTRON_M)
+        rx, ry = D("-0.5"), -d  # launch point minus charge
+        r0 = (rx * rx + ry * ry).sqrt()
+        ux, uy = rx / r0, ry / r0
+        h = -ry * speed  # (r x v)_z > 0, so t0_hat = z_hat x r0_hat = (-uy, ux)
+        tx, ty = -uy, ux
+        p = mu / (h * h)
+        B = -(rx * speed / r0) / h
+        offset = D("0.5")
+        a, b, c = (D(-1) / r0 + offset * p), tx - offset * B, offset * p
+        theta = 2 * _decimal_atan(D("0.5") / d)
+        for _ in range(100):
+            sin, cos = _decimal_sin_cos(theta)
+            step = (a * cos + b * sin - c) / (b * cos - a * sin)
+            theta -= step
+            if abs(step) <= abs(theta) * D(10) ** -42:
+                break
+        sin, cos = _decimal_sin_cos(theta / 2)
+        k = -2 * mu / h * sin
+        dvx, dvy = k * (cos * ux + sin * tx), k * (cos * uy + sin * ty)
+        return _decimal_atan(abs(speed * dvy) / (speed * (speed + dvx)))
+
+
 class TestCoulombDeflection:
     def test_matches_inline_hyperbola(self):
         rng = np.random.default_rng(55)
@@ -385,6 +448,33 @@ class TestCoulombDeflection:
             angle = coulomb_deflection(particle, PointCharge(q=q, position=[0, d, 0]), 0.5)
             worst = max(worst, abs(angle / hyperbola_deflection(q, d) - 1.0))
         assert worst <= 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q", [5e-6, -5e-6], ids=["attractive", "repulsive"])
+    def test_far_field_matches_40_digit_orbit(self, q):
+        """0.1 to 1e300 cm: 1e-13 where the exact angle is a normal float, 0.0 where it underflows.
+
+        The exit angle was base +- half, two angles of order 1 whose difference
+        is a sweep of about 1/d: 3.5e-12 relative error at 4e4 cm, and the
+        orbit "turned back" from 1e20 cm on.
+        """
+        particle = beam_particle()
+        tiny = 2.2250738585072014e-308  # smallest normal float
+        for d in np.geomspace(0.1, 1e300, 64):
+            angle = coulomb_deflection(particle, PointCharge(q=q, position=[0, d, 0]), 0.5)
+            exact = decimal_coulomb_deflection(q, float(d))
+            if float(exact) >= tiny:
+                assert abs(decimal.Decimal(angle) / exact - 1) <= decimal.Decimal("1e-13"), d
+            elif float(exact) == 0.0:
+                assert angle == 0.0, d
+            else:
+                assert abs(decimal.Decimal(angle) - exact) <= decimal.Decimal(1e-13 * tiny), d
+
+    @pytest.mark.parametrize("d", [4e4, 4e6])
+    def test_far_field_matches_rk4(self, d):
+        src = PointCharge(q=5e-6, position=[0.0, d, 0.0])
+        rk4 = integrate_trajectory(beam_particle(), src, 0.5, 1e-11).deflection_angle
+        assert abs(coulomb_deflection(beam_particle(), src, 0.5) / rk4 - 1.0) <= 1e-13
 
     def test_matches_rk4_on_random_3d_launches(self):
         """Tilted launches in both directions, attractive and repulsive sources."""
