@@ -181,6 +181,12 @@ class ProtocolError(RuntimeError):
     """Deflection-vs-distance is not monotone where the protocol requires it."""
 
 
+def _require_positive(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and positive; NaN fails too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
+
 def eval_fields(source: FieldSource, r) -> tuple[np.ndarray, np.ndarray]:
     """Electric and magnetic field of ``source`` at point ``r`` (cm).
 
@@ -368,8 +374,7 @@ def integrate_trajectory(
     (a NaN anywhere in a point charge's state reaches x within two steps), and
     so does any non-finite component on the exit plane.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _require_positive(dt, "dt")
     x, y, z = (float(c) for c in particle.r0)
     vx, vy, vz = (float(c) for c in particle.v0)
     direction = _check_launch(x, vx, exit_plane_x)
@@ -846,8 +851,7 @@ def deflection_at_distance(
     source the exact piecewise path (:func:`box_deflection`); ``dt`` is
     checked but no longer used.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _require_positive(dt, "dt")
     source = with_position(source_template, geometry.source_position(distance))
     if isinstance(source, PointCharge):
         return coulomb_deflection(particle, source, geometry.exit_plane_x)
@@ -909,6 +913,7 @@ def critical_distance(
     evaluation.  Each deflection comes from :func:`deflection_at_distance`,
     which is exact for every source, so a solve integrates nothing.
     """
+    _require_positive(dt, "dt")
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < near < far, got {bracket}")

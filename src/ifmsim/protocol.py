@@ -27,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CGS, BeamGeometry, FieldSource, ProtocolError, TestParticle, scan_row
+from .fields import (
+    CGS,
+    BeamGeometry,
+    FieldSource,
+    ProtocolError,
+    TestParticle,
+    _require_positive,
+    scan_row,
+)
 from .matter_mz import (
     BLOCK_UPPER,
     NO_BLOCKS,
@@ -59,8 +67,7 @@ class CalibrationSetup:
     enclosed_flux: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.transit_time <= 0:
-            raise ValueError("transit_time must be positive")
+        _require_positive(self.transit_time, "transit_time")
 
 
 @dataclass(frozen=True)
@@ -170,10 +177,8 @@ class ScanConfig:
             raise ValueError("trials_per_position must be at least 1")
         if not 0.0 < self.confidence_target < 1.0:
             raise ValueError("confidence_target must lie in (0, 1)")
-        if self.phi_c <= 0:
-            raise ValueError("phi_c must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _require_positive(self.phi_c, "phi_c")
+        _require_positive(self.dt, "dt")
 
 
 @dataclass(frozen=True)

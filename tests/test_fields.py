@@ -251,6 +251,13 @@ class TestIntegrateTrajectory:
         with pytest.raises(StepLimitError):
             integrate_trajectory(beam_particle(), src, 0.5, 1e-13, max_steps=100)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-11, math.nan, math.inf])
+    def test_bad_dt_rejected(self, dt):
+        # NaN and inf ran one step and ended in "trajectory state not finite".
+        src = PointCharge(q=5e-6, position=[0.0, 0.2, 0.0])
+        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+            integrate_trajectory(beam_particle(), src, 0.5, dt)
+
     def test_moving_away_rejected(self):
         particle = TestParticle(
             q=ELECTRON_Q, m=ELECTRON_M, r0=[-0.5, 0, 0], v0=[-BEAM_SPEED, 0, 0]
@@ -545,7 +552,7 @@ class TestCoulombDeflection:
         with pytest.raises(ValueError, match="exit plane"):
             coulomb_deflection(particle, PointCharge(q=5e-6, position=[0, 0.2, 0]), 0.5)
 
-    @pytest.mark.parametrize("dt", [0.0, -1e-11])
+    @pytest.mark.parametrize("dt", [0.0, -1e-11, math.nan, math.inf])
     def test_nonpositive_dt_rejected(self, dt):
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         with pytest.raises(ValueError, match="dt"):
@@ -928,6 +935,13 @@ class TestCriticalDistance:
             particle, src, geom, angle_far * 1.0001, (0.10, far), 1e-11
         )
         assert d_c > 0.95 * far
+
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+    def test_bad_dt_rejected(self, dt):
+        # A NaN dt returned a distance.
+        src = PointCharge(q=5e-6, position=[0, 1, 0])
+        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+            critical_distance(beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), dt)
 
     def test_bracket_must_straddle(self):
         particle = beam_particle()

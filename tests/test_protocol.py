@@ -174,8 +174,9 @@ class TestCalibrate:
         assert result.null.residual > 0
 
     def test_invalid_transit_time(self):
-        with pytest.raises(ValueError):
-            CalibrationSetup(transit_time=0.0)
+        for transit_time in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CalibrationSetup(transit_time=transit_time)
 
     @pytest.mark.parametrize(
         "setup, name",
@@ -260,6 +261,13 @@ class TestScanConfigValidation:
     def test_confidence_in_open_interval(self):
         with pytest.raises(ValueError):
             scan_config(confidence_target=1.0)
+
+    @pytest.mark.parametrize("name", ["phi_c", "dt"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_phi_c_and_dt_finite_positive(self, name, value):
+        # A NaN phi_c made every scan silently inconclusive: deflection > NaN is never true.
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            scan_config(**{name: value})
 
 
 class TestRunFieldScan:
