@@ -13,13 +13,18 @@ velocity at a configured exit plane (the second-grating plane).  Box sources
 are exact: :func:`box_deflection` follows the straight line into the box, the
 parabola (uniform E) or helix (uniform B) inside it, and the straight line out
 to the plane, in O(1).  A point charge's deflection has a closed form too, the
-exact Kepler/Rutherford orbit (:func:`coulomb_deflection`).  Fixed-step RK4
-(:func:`integrate_trajectory`) is kept as the oracle for both; the one
-other caller is :func:`scan_row`, the single place that computes a scan
-position, whose point-charge branch still runs on it.  Brent's root-finder,
-seeded with the bracketing pair from a coarse five-sample monotonicity scan,
-inverts deflection-vs-distance to the critical source distance for a given
-threshold angle on the exact deflections, so it integrates nothing.
+exact Kepler/Rutherford orbit (:func:`coulomb_deflection`), whose exit angle
+is a cancellation-free root so that it stays exact as the deflection goes to
+0.  Fixed-step RK4 (:func:`integrate_trajectory`) is kept as the oracle for
+both; for a point charge its step writes the Coulomb acceleration out in each
+stage (:func:`_rk4_step`), bit-identical to the scalar expansion of
+lorentz_force(eval_fields), and four trajectory digests in the test suite pin
+it.  The one other caller is :func:`scan_row`, the single place that computes
+a scan position, whose point-charge branch still runs on it.  Brent's
+root-finder, seeded with the bracketing pair from a coarse five-sample
+monotonicity scan, inverts deflection-vs-distance to the critical source
+distance for a given threshold angle on the exact deflections, so it
+integrates nothing.
 """
 
 from __future__ import annotations
@@ -364,6 +369,11 @@ def integrate_trajectory(
 ) -> TrajectoryResult:
     """RK4 integration of the particle through the source's field.
 
+    Each step comes from :func:`_rk4_step`: for a point charge it writes the
+    Coulomb acceleration out in each of the four stages, bit-identical to the
+    scalar expansion of lorentz_force(eval_fields); four SHA-256 digests of
+    t, r and v in the test suite pin it (a planar and a 3-D Coulomb pass, an
+    oblique B box and an oblique E box).  ``dt`` must be finite and positive.
     Integration runs until the x coordinate crosses ``exit_plane_x`` (the
     final partial step is refined onto the plane).  The particle must
     initially move toward the plane (:func:`_check_launch`).  A step whose
@@ -848,8 +858,8 @@ def deflection_at_distance(
     """Deflection angle with the source placed ``distance`` cm from the beam.
 
     A point charge takes the exact orbit (:func:`coulomb_deflection`), a box
-    source the exact piecewise path (:func:`box_deflection`); ``dt`` is
-    checked but no longer used.
+    source the exact piecewise path (:func:`box_deflection`); ``dt`` must be
+    finite and positive but is no longer used.
     """
     _require_positive(dt, "dt")
     source = with_position(source_template, geometry.source_position(distance))
