@@ -448,7 +448,7 @@ def integrate_trajectory(
         states.extend(state)
     else:
         raise StepLimitError(f"exit plane not reached within {max_steps} steps")
-    if not (math.isfinite(times[-1]) and all(map(math.isfinite, state))):
+    if not all(map(math.isfinite, state)):
         raise FloatingPointError("trajectory state not finite on the exit plane")
 
     samples = np.array(states).reshape(-1, 6)
