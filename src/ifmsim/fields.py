@@ -16,11 +16,11 @@ to the plane, in O(1).  A point charge's deflection has a closed form too, the
 exact Kepler/Rutherford orbit (:func:`coulomb_deflection`), whose exit angle
 is a cancellation-free root so that it stays exact as the deflection goes to
 0.  Fixed-step RK4 (:func:`integrate_trajectory`) is kept as the oracle for
-both; for a point charge its step writes the Coulomb acceleration out in each
-stage (:func:`_rk4_step`), bit-identical to the scalar expansion of
-lorentz_force(eval_fields), and four trajectory digests in the test suite pin
-it.  The one other caller is :func:`scan_row`, the single place that computes
-a scan position, whose point-charge branch still runs on it.  Brent's
+both; its one stepping loop (:func:`_rk4_run`) writes a point charge's
+Coulomb acceleration out in each stage, and four trajectory digests pin it.
+:func:`scan_row` runs point-charge rows on that loop, keeping only the state on
+the exit plane (:func:`_rk4_exit`), so a tracer of integrate_trajectory no
+longer sees them.  Brent's
 root-finder, seeded with the bracketing pair from a coarse five-sample
 monotonicity scan, inverts deflection-vs-distance to the critical source
 distance for a given threshold angle on the exact deflections, so it
@@ -224,14 +224,17 @@ def lorentz_force(q: float, v, E, B) -> np.ndarray:
     For classical 3-vectors the magnetic term equals q (v x B)/c; the
     symmetrized form is kept as written.
     """
-    v = _vec3(v, "v")
+    vx, vy, vz = _vec3(v, "v").tolist()
     E = _vec3(E, "E")
-    B = _vec3(B, "B")
-    return q * (E + (np.cross(v, B) - np.cross(B, v)) / (2.0 * CGS.c))
+    bx, by, bz = _vec3(B, "B").tolist()
+    # v x B and B x v from scalars, in the operations np.cross runs.
+    cross = np.array([vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx])
+    cross -= np.array([by * vz - bz * vy, bz * vx - bx * vz, bx * vy - by * vx])
+    return q * (E + cross / (2.0 * CGS.c))
 
 
 def _acceleration_fn(particle: TestParticle, source: UniformBRegion | UniformERegion):
-    """Specialized scalar acceleration a(r, v) of a field box, for :func:`_rk4_step`.
+    """Specialized scalar acceleration a(r, v) of a field box, for :func:`_rk4_run`.
 
     Each branch is the scalar expansion of lorentz_force(q, v,
     *eval_fields(source, r)) / m; the equivalence is pinned by the test
@@ -268,69 +271,81 @@ def _acceleration_fn(particle: TestParticle, source: UniformBRegion | UniformERe
     raise TypeError(f"unsupported field source {type(source).__name__}")
 
 
-def _rk4_step(particle: TestParticle, source: FieldSource):
-    """One classical RK4 step, step(x, y, z, vx, vy, vz, h) -> the state after h.
+def _rk4_run(particle: TestParticle, source: FieldSource, guard):
+    """The classical RK4 loop, run(x, y, z, vx, vy, vz, h, n, exit_x, direction, times, states).
 
-    For a point charge the four stages write the Coulomb acceleration
-    k d / |d|^3 (k = q Q / m, d = r - source) out in place, in the operation
-    order of the scalar expansion of lorentz_force(q, v, *eval_fields(source,
-    r)) / m, so the step is bit for bit the one that calls an acceleration
-    function per stage; 0.5 * h * v already evaluates as (0.5 * h) * v.  A box
-    source runs the same stages over its :func:`_acceleration_fn` closure.
+    ``run`` takes up to ``n`` steps of ``h`` and returns the state before the
+    first step whose x is not short of ``exit_x`` (nor is a NaN x), that
+    step's result (None if all ``n`` fall short) and the steps before it; a
+    zero ``direction`` stops at the first step.  Given ``times``, each step
+    appends its time there and its state to ``states``.  A point charge's
+    stages write k d / |d|^3 (k = q Q / m, d = r - source) out in the order
+    of lorentz_force(q, v, *eval_fields(source, r)) / m, bit for bit, and
+    ``guard`` = (reach2, cutoff, dt) runs the singularity test of
+    :func:`integrate_trajectory` before a step from within sqrt(reach2); a
+    box runs the same stages over its :func:`_acceleration_fn` closure.
     """
-    if isinstance(source, PointCharge):
+    point = isinstance(source, PointCharge)
+    if point:
         k = particle.q / particle.m * source.q
         sx, sy, sz = (float(c) for c in source.position)
+        reach2, cutoff, dt = guard or (0.0, 0.0, 0.0)
+    else:
+        accel = _acceleration_fn(particle, source)
 
-        def step(x, y, z, vx, vy, vz, h):
-            half = 0.5 * h
-            dx, dy, dz = x - sx, y - sy, z - sz
-            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-            a1x, a1y, a1z = k * dx * inv, k * dy * inv, k * dz * inv
-            dx, dy, dz = x + half * vx - sx, y + half * vy - sy, z + half * vz - sz
-            v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
-            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-            a2x, a2y, a2z = k * dx * inv, k * dy * inv, k * dz * inv
-            dx, dy, dz = x + half * v2x - sx, y + half * v2y - sy, z + half * v2z - sz
-            v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
-            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-            a3x, a3y, a3z = k * dx * inv, k * dy * inv, k * dz * inv
-            dx, dy, dz = x + h * v3x - sx, y + h * v3y - sy, z + h * v3z - sz
-            v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
-            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-            six = h / 6.0
-            return (
-                x + six * (vx + 2.0 * (v2x + v3x) + v4x),
-                y + six * (vy + 2.0 * (v2y + v3y) + v4y),
-                z + six * (vz + 2.0 * (v2z + v3z) + v4z),
-                vx + six * (a1x + 2.0 * (a2x + a3x) + k * dx * inv),
-                vy + six * (a1y + 2.0 * (a2y + a3y) + k * dy * inv),
-                vz + six * (a1z + 2.0 * (a2z + a3z) + k * dz * inv),
-            )
+    def run(x, y, z, vx, vy, vz, h, n, exit_x, direction, times, states):
+        half, six = 0.5 * h, h / 6.0
+        for i in range(n):
+            if point:
+                dx, dy, dz = x - sx, y - sy, z - sz
+                r2 = dx * dx + dy * dy + dz * dz
+                if r2 < reach2:
+                    # Closest approach of the step's segment r + s*v*dt, 0 <= s <= 1.
+                    ux, uy, uz = vx * dt, vy * dt, vz * dt
+                    s = -(dx * ux + dy * uy + dz * uz) / ((ux * ux + uy * uy + uz * uz) or 1.0)
+                    s = min(max(s, 0.0), 1.0)
+                    px, py, pz = dx + s * ux, dy + s * uy, dz + s * uz
+                    if px * px + py * py + pz * pz < cutoff * cutoff:
+                        raise SingularityError(f"trajectory within {cutoff} cm of the point source")
+                inv = r2 ** -1.5
+                a1x, a1y, a1z = k * dx * inv, k * dy * inv, k * dz * inv
+                dx, dy, dz = x + half * vx - sx, y + half * vy - sy, z + half * vz - sz
+                v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+                inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+                a2x, a2y, a2z = k * dx * inv, k * dy * inv, k * dz * inv
+                dx, dy, dz = x + half * v2x - sx, y + half * v2y - sy, z + half * v2z - sz
+                v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+                inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+                a3x, a3y, a3z = k * dx * inv, k * dy * inv, k * dz * inv
+                dx, dy, dz = x + h * v3x - sx, y + h * v3y - sy, z + h * v3z - sz
+                v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+                inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+                a4x, a4y, a4z = k * dx * inv, k * dy * inv, k * dz * inv
+            else:
+                a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
+                v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+                a2x, a2y, a2z = accel(x + half * vx, y + half * vy, z + half * vz, v2x, v2y, v2z)
+                v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+                a3x, a3y, a3z = accel(x + half * v2x, y + half * v2y, z + half * v2z, v3x, v3y, v3z)
+                v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+                a4x, a4y, a4z = accel(x + h * v3x, y + h * v3y, z + h * v3z, v4x, v4y, v4z)
+            nx = x + six * (vx + 2.0 * (v2x + v3x) + v4x)
+            ny = y + six * (vy + 2.0 * (v2y + v3y) + v4y)
+            nz = z + six * (vz + 2.0 * (v2z + v3z) + v4z)
+            nvx = vx + six * (a1x + 2.0 * (a2x + a3x) + a4x)
+            nvy = vy + six * (a1y + 2.0 * (a2y + a3y) + a4y)
+            nvz = vz + six * (a1z + 2.0 * (a2z + a3z) + a4z)
+            # Written so that a NaN x also ends the loop: the test costs nothing extra.
+            if not (exit_x - nx) * direction > 0.0:
+                return (x, y, z, vx, vy, vz), (nx, ny, nz, nvx, nvy, nvz), i
+            x, y, z = nx, ny, nz
+            vx, vy, vz = nvx, nvy, nvz
+            if times is not None:
+                times.append(times[-1] + h)
+                states.extend((x, y, z, vx, vy, vz))
+        return (x, y, z, vx, vy, vz), None, n
 
-        return step
-    accel = _acceleration_fn(particle, source)
-
-    def step(x, y, z, vx, vy, vz, h):
-        half = 0.5 * h
-        a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
-        v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
-        a2x, a2y, a2z = accel(x + half * vx, y + half * vy, z + half * vz, v2x, v2y, v2z)
-        v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
-        a3x, a3y, a3z = accel(x + half * v2x, y + half * v2y, z + half * v2z, v3x, v3y, v3z)
-        v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
-        a4x, a4y, a4z = accel(x + h * v3x, y + h * v3y, z + h * v3z, v4x, v4y, v4z)
-        six = h / 6.0
-        return (
-            x + six * (vx + 2.0 * (v2x + v3x) + v4x),
-            y + six * (vy + 2.0 * (v2y + v3y) + v4y),
-            z + six * (vz + 2.0 * (v2z + v3z) + v4z),
-            vx + six * (a1x + 2.0 * (a2x + a3x) + a4x),
-            vy + six * (a1y + 2.0 * (a2y + a3y) + a4y),
-            vz + six * (a1z + 2.0 * (a2z + a3z) + a4z),
-        )
-
-    return step
+    return run
 
 
 def _deflection_between(v0: np.ndarray, v1: np.ndarray) -> float:
@@ -358,6 +373,50 @@ def _check_launch(x0: float, vx: float, exit_plane_x: float) -> float:
     return direction
 
 
+def _rk4_exit(particle: TestParticle, source: FieldSource, exit_plane_x: float, dt: float,
+              max_steps: int, singularity_cutoff: float, times=None, states=None):
+    """Exit-plane state of :func:`integrate_trajectory`; samples go to ``times``/``states``."""
+    _require_positive(dt, "dt")
+    x, y, z, vx, vy, vz = particle.r0.tolist() + particle.v0.tolist()
+    direction = _check_launch(x, vx, exit_plane_x)
+
+    guard = None
+    if isinstance(source, PointCharge):
+        # No step starting beyond ``reach`` gets within the cutoff: energy
+        # bounds the speed at distance r by sqrt(V^2 + 2|k|/r) (k = q*Q/m,
+        # V^2 = v0^2 + 2|k|/r0), and beyond reach 2*dt times that is < r - cutoff.
+        k = abs(particle.q * source.q / particle.m)
+        r0 = max(math.dist(particle.r0, source.position), singularity_cutoff)
+        speed = math.sqrt(vx * vx + vy * vy + vz * vz + 2.0 * k / r0)
+        reach = max(2.0 * (singularity_cutoff + 2.0 * dt * speed),
+                    (4.0 * dt) ** (2.0 / 3.0) * (2.0 * k) ** (1.0 / 3.0))
+        guard = (reach * reach, singularity_cutoff, dt)
+    run = _rk4_run(particle, source, guard)
+
+    start, state, steps = run(x, y, z, vx, vy, vz, dt, max_steps, exit_plane_x, direction,
+                              times, states)
+    if state is None:
+        raise StepLimitError(f"exit plane not reached within {max_steps} steps")
+    if not math.isfinite(state[0]):
+        raise FloatingPointError(f"trajectory state not finite after {steps + 1} steps")
+    # Crossed the plane inside this step: refine the substep onto it in three
+    # Newton passes, and step once more if none converged.
+    h = dt * (exit_plane_x - start[0]) / (state[0] - start[0])
+    for i in range(4):
+        h = min(max(h, 1e-15 * dt), dt)
+        state = run(*start, h, 1, exit_plane_x, 0.0, None, None)[1]
+        miss, nvx = exit_plane_x - state[0], state[3]
+        if i == 3 or nvx == 0.0 or abs(miss) <= 1e-15 * (abs(exit_plane_x) + dt * abs(nvx)):
+            break
+        h += miss / nvx
+    if not all(map(math.isfinite, state)):
+        raise FloatingPointError("trajectory state not finite on the exit plane")
+    if times is not None:
+        times.append(times[-1] + h)
+        states.extend(state)
+    return state
+
+
 def integrate_trajectory(
     particle: TestParticle,
     source: FieldSource,
@@ -369,88 +428,25 @@ def integrate_trajectory(
 ) -> TrajectoryResult:
     """RK4 integration of the particle through the source's field.
 
-    Each step comes from :func:`_rk4_step`: for a point charge it writes the
-    Coulomb acceleration out in each of the four stages, bit-identical to the
-    scalar expansion of lorentz_force(eval_fields); four SHA-256 digests of
-    t, r and v in the test suite pin it (a planar and a 3-D Coulomb pass, an
-    oblique B box and an oblique E box).  ``dt`` must be finite and positive.
-    Integration runs until the x coordinate crosses ``exit_plane_x`` (the
-    final partial step is refined onto the plane).  The particle must
-    initially move toward the plane (:func:`_check_launch`).  A step whose
-    segment r + s*v*dt (0 <= s <= 1) passes within ``singularity_cutoff`` cm
-    of a point source raises :class:`SingularityError`, so no step jumps over
-    the charge; exhausting ``max_steps`` raises :class:`StepLimitError`.  A
-    non-finite x raises ``FloatingPointError`` at the step that produced it
-    (a NaN anywhere in a point charge's state reaches x within two steps), and
-    so does any non-finite component on the exit plane.
+    Steps come from one :func:`_rk4_run` loop, whose point-charge stages are
+    bit for bit the scalar expansion of lorentz_force(eval_fields).  Four
+    SHA-256 digests of t, r and v in the test suite pin it (a planar and a
+    3-D Coulomb pass, an oblique B box and an oblique E box), and with it
+    :func:`scan_row`, which keeps only the exit state (:func:`_rk4_exit`).
+    ``dt`` must be finite and positive.  Integration runs until the x
+    coordinate crosses ``exit_plane_x`` (the final partial step is refined
+    onto the plane).  The particle must initially move toward the plane
+    (:func:`_check_launch`).  A step whose segment r + s*v*dt (0 <= s <= 1)
+    passes within ``singularity_cutoff`` cm of a point source raises
+    :class:`SingularityError`, so no step jumps over the charge; exhausting
+    ``max_steps`` raises :class:`StepLimitError`.  A non-finite x raises
+    ``FloatingPointError`` at the step that produced it (a NaN anywhere in a
+    point charge's state reaches x within two steps), and so does any
+    non-finite component on the exit plane.
     """
-    _require_positive(dt, "dt")
-    x, y, z = (float(c) for c in particle.r0)
-    vx, vy, vz = (float(c) for c in particle.v0)
-    direction = _check_launch(x, vx, exit_plane_x)
-
-    step = _rk4_step(particle, source)
-    guard_point = isinstance(source, PointCharge)
-    if guard_point:
-        gx, gy, gz = (float(c) for c in source.position)
-        cutoff2 = singularity_cutoff * singularity_cutoff
-        # No step starting beyond ``reach`` gets within the cutoff: energy
-        # bounds the speed at distance r by sqrt(V^2 + 2|k|/r) (k = q*Q/m,
-        # V^2 = v0^2 + 2|k|/r0), and beyond reach 2*dt times that is < r - cutoff.
-        k = abs(particle.q * source.q / particle.m)
-        r0 = max(math.dist(particle.r0, source.position), singularity_cutoff)
-        speed = math.sqrt(vx * vx + vy * vy + vz * vz + 2.0 * k / r0)
-        reach = max(2.0 * (singularity_cutoff + 2.0 * dt * speed),
-                    (4.0 * dt) ** (2.0 / 3.0) * (2.0 * k) ** (1.0 / 3.0))
-        reach2 = reach * reach
-
-    # One time per sample, and the samples' states back to back, six floats each.
-    times = [0.0]
-    states = [x, y, z, vx, vy, vz]
-    t = 0.0
-    for _ in range(max_steps):
-        if guard_point:
-            dx, dy, dz = x - gx, y - gy, z - gz
-            if dx * dx + dy * dy + dz * dz < reach2:
-                # Closest approach of the step's segment r + s*v*dt, 0 <= s <= 1.
-                sx, sy, sz = vx * dt, vy * dt, vz * dt
-                s = -(dx * sx + dy * sy + dz * sz) / ((sx * sx + sy * sy + sz * sz) or 1.0)
-                s = min(max(s, 0.0), 1.0)
-                px, py, pz = dx + s * sx, dy + s * sy, dz + s * sz
-                if px * px + py * py + pz * pz < cutoff2:
-                    raise SingularityError(
-                        f"trajectory within {singularity_cutoff} cm of the point source"
-                    )
-        state = step(x, y, z, vx, vy, vz, dt)
-        nx = state[0]
-        # Written so that a NaN x also takes the branch: the test costs nothing extra.
-        if not (exit_plane_x - nx) * direction > 0.0:
-            if not math.isfinite(nx):
-                raise FloatingPointError(f"trajectory state not finite after {len(times)} steps")
-            # Crossed the plane inside this step: refine the substep onto it.
-            h = dt * (exit_plane_x - x) / (nx - x)
-            for _ in range(3):
-                h = min(max(h, 1e-15 * dt), dt)
-                state = step(x, y, z, vx, vy, vz, h)
-                miss, nvx = exit_plane_x - state[0], state[3]
-                if nvx == 0.0 or abs(miss) <= 1e-15 * (abs(exit_plane_x) + dt * abs(nvx)):
-                    break
-                h += miss / nvx
-            else:
-                h = min(max(h, 1e-15 * dt), dt)
-                state = step(x, y, z, vx, vy, vz, h)
-            times.append(t + h)
-            states.extend(state)
-            break
-        x, y, z, vx, vy, vz = state
-        t += dt
-        times.append(t)
-        states.extend(state)
-    else:
-        raise StepLimitError(f"exit plane not reached within {max_steps} steps")
-    if not all(map(math.isfinite, state)):
-        raise FloatingPointError("trajectory state not finite on the exit plane")
-
+    times, states = [0.0], particle.r0.tolist() + particle.v0.tolist()
+    state = _rk4_exit(particle, source, exit_plane_x, dt, max_steps, singularity_cutoff,
+                      times, states)
     samples = np.array(states).reshape(-1, 6)
     return TrajectoryResult(
         t=np.array(times),
@@ -879,16 +875,19 @@ def scan_row(
 
     The source is placed ``distance`` cm from the beam.  A box source takes
     the exact piecewise path (:func:`box_deflection`).  A point charge takes
-    RK4 at ``dt``: this branch is the one place a scan row integrates, and
-    the exact orbit replaces it under ROADMAP item 2.  The magnitude is read
-    where the launch line passes closest to the source's reference position;
-    |v0| comes from ``math.hypot``, so neither a tiny |v0| nor a far source
-    under- or overflows.
+    RK4 at ``dt`` and the default limits of :func:`integrate_trajectory`,
+    through the sample-free :func:`_rk4_exit` of its loop: bit for bit its
+    deflection (its digests pin both), though a tracer of it no longer sees
+    the row, until the exact orbit replaces it (ROADMAP item 2).  The
+    magnitude is read where the launch line passes closest to the source's
+    reference position; |v0| comes from ``math.hypot``, so neither a tiny
+    |v0| nor a far source under- or overflows.
     """
     source = with_position(source_template, geometry.source_position(distance))
     exit_x = geometry.exit_plane_x
     if isinstance(source, PointCharge):
-        deflection = integrate_trajectory(particle, source, exit_x, dt).deflection_angle
+        state = _rk4_exit(particle, source, exit_x, dt, 2_000_000, 1e-6)
+        deflection = _deflection_between(particle.v0, np.array(state[3:]))
     else:
         deflection = box_deflection(particle, source, exit_x)
     speed = math.hypot(*particle.v0)

@@ -150,6 +150,14 @@ def _count_below(rng: np.random.Generator, n: int, cuts) -> list[int]:
     return counts
 
 
+def _require_count(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int or numpy integer, not a bool, and >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def run_ev_trials(setup: EvSetup, n_trials: int, rng: np.random.Generator) -> dict[str, int]:
     """Sample ``n_trials`` independent single-photon runs.
 
@@ -164,8 +172,7 @@ def run_ev_trials(setup: EvSetup, n_trials: int, rng: np.random.Generator) -> di
     CDF that ``rng.choice(3, size=n_trials, p=p)`` evaluates, so the counts
     and the generator's final state are bit-identical to those of 0.1.0.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    _require_count(n_trials, "n_trials")
     light, dark, _ = _port_probabilities(setup)
     p = np.array([light, dark, max(0.0, 1.0 - (light + dark))])
     p /= p.sum()

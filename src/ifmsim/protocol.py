@@ -45,7 +45,7 @@ from .matter_mz import (
     solve_ideal_offset,
     wrap_phase,
 )
-from .photon_mz import _count_below
+from .photon_mz import _count_below, _require_count
 
 # A model counts as calibrated when its no-block detector probability is
 # below this threshold.
@@ -173,15 +173,14 @@ class ScanConfig:
             raise ValueError("positions must be strictly decreasing (approaching the beam)")
         if not all(p > 0.0 for p in self.positions):
             raise ValueError("positions must be positive distances")
-        if self.trials_per_position < 1:
-            raise ValueError("trials_per_position must be at least 1")
+        _require_count(self.trials_per_position, "trials_per_position")
         if not 0.0 < self.confidence_target < 1.0:
             raise ValueError("confidence_target must lie in (0, 1)")
         _require_positive(self.phi_c, "phi_c")
         _require_positive(self.dt, "dt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositionRecord:
     """Per-position scan outcome."""
 
@@ -194,7 +193,7 @@ class PositionRecord:
     field_magnitude: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ScanResult:
     """Full record of a discrete source scan.
 

@@ -30,7 +30,8 @@ from ifmsim.fields import (
     sphere_radius_for_deflection,
     with_position,
     _acceleration_fn,
-    _rk4_step,
+    _rk4_exit,
+    _rk4_run,
     _box_exit,
     box_deflection,
     _check_launch,
@@ -117,13 +118,25 @@ class TestLorentzForce:
     def test_symmetrized_form_equals_classical(self):
         """q[(v x B - B x v)/(2c)] equals q(v x B)/c on 1e4 random inputs."""
         rng = np.random.default_rng(100)
-        for _ in range(10_000):
-            q = float(rng.standard_normal())
-            v = rng.standard_normal(3) * BEAM_SPEED
-            B = rng.standard_normal(3)
-            sym = lorentz_force(q, v, [0, 0, 0], B)
-            classical = q * np.cross(v, B) / CGS.c
-            np.testing.assert_allclose(sym, classical, rtol=1e-12, atol=1e-30)
+        cases = [(float(rng.standard_normal()), rng.standard_normal(3) * BEAM_SPEED,
+                  rng.standard_normal(3)) for _ in range(10_000)]
+        forces = [lorentz_force(q, v, [0, 0, 0], B) for q, v, B in cases]
+        q, v, B = (np.array(column) for column in zip(*cases))
+        classical = q[:, None] * np.cross(v, B) / CGS.c
+        np.testing.assert_allclose(forces, classical, rtol=1e-12, atol=1e-30)
+
+    def test_matches_np_cross_form_bit_for_bit(self):
+        """The scalar cross products give the bits of q(E + (v x B - B x v)/(2c)) with np.cross."""
+        rng = np.random.default_rng(101)
+        n = 10_000
+
+        def spread(shape):  # magnitudes from 1e-5 to 1e9, either sign
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5.0, 9.0, shape)
+
+        q, v, E, B = spread(n), spread((n, 3)), spread((n, 3)), spread((n, 3))
+        forces = np.array([lorentz_force(*case) for case in zip(q.tolist(), v, E, B)])
+        expected = q[:, None] * (E + (np.cross(v, B) - np.cross(B, v)) / (2.0 * CGS.c))
+        assert forces.tobytes() == expected.tobytes()
 
     def test_fast_accelerations_match_force_api(self):
         """Specialized integrator closures reproduce lorentz_force(eval_fields)/m."""
@@ -153,14 +166,14 @@ class TestLorentzForce:
         ids=["point-charge", "B-box", "E-box"],
     )
     def test_rk4_step_matches_force_api(self, source):
-        """One fused RK4 step equals an RK4 step over lorentz_force(eval_fields)/m."""
+        """One step of the fused RK4 loop equals an RK4 step over lorentz_force(eval_fields)/m."""
         rng = np.random.default_rng(9)
         particle = beam_particle()
 
         def accel(r, v):
             return lorentz_force(particle.q, v, *eval_fields(source, r)) / particle.m
 
-        step = _rk4_step(particle, source)
+        run = _rk4_run(particle, source, None)
         for _ in range(200):
             r = rng.uniform(-2, 2, 3)
             v = rng.uniform(-1, 1, 3) * BEAM_SPEED
@@ -174,7 +187,8 @@ class TestLorentzForce:
             a4 = accel(r + h * v3, v4)
             slow_r = r + h / 6.0 * (v + 2.0 * (v2 + v3) + v4)
             slow_v = v + h / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
-            fast = np.array(step(*r, *v, h))
+            # A zero direction ends the loop at its first step and returns that step.
+            fast = np.array(run(*r, *v, h, 1, 0.0, 0.0, None, None)[1])
             np.testing.assert_allclose(fast[:3], slow_r, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(fast[3:], slow_v, rtol=1e-12, atol=1e-30)
 
@@ -769,14 +783,54 @@ class TestLaunchCheck:
 
 class TestScanRow:
     def test_point_charge_row_is_rk4_at_dt(self, count_calls):
-        # Through the module global, so that a tracer of fields sees the call.
+        # The row takes the sample-free exit of the same RK4 loop, not
+        # integrate_trajectory, and gets its deflection bit for bit.
         trajectories = count_calls("integrate_trajectory")
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         deflection, magnitude = scan_row(beam_particle(), src, beam_geometry(), 0.2, 1e-11)
         placed = with_position(src, [0.0, 0.2, 0.0])
-        assert len(trajectories) == 1
+        assert trajectories == []
         assert deflection == integrate_trajectory(beam_particle(), placed, 0.5, 1e-11).deflection_angle
         assert magnitude == pytest.approx(5e-6 / 0.2**2, rel=1e-12)
+
+    @pytest.mark.parametrize("oblique", [False, True], ids=["planar", "oblique-3d"])
+    def test_point_charge_rows_equal_integrate_trajectory(self, oblique):
+        """10 charges of each sign at three distances, each row bit for bit RK4's deflection."""
+        particle, geometry = beam_particle(), beam_geometry()
+        if oblique:
+            particle = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[-0.5, 0.01, -0.02],
+                                    v0=[BEAM_SPEED, 2e5, -3e5])
+            geometry = BeamGeometry(exit_plane_x=0.5, source_anchor=[0.02, 0.0, 0.01],
+                                    approach_direction=[0.1, 1.0, 0.3])
+        charges = np.linspace(1e-6, 8e-6, 10)
+        for q in np.concatenate([charges, -charges]).tolist():
+            src = PointCharge(q=q, position=[0, 1, 0])
+            for distance in (0.1, 0.2, 0.35):
+                placed = with_position(src, geometry.source_position(distance))
+                rk4 = integrate_trajectory(particle, placed, 0.5, 1e-11).deflection_angle
+                assert scan_row(particle, src, geometry, distance, 1e-11)[0] == rk4
+
+    @pytest.mark.parametrize(
+        "q, distance, speed",
+        [(5e-6, 1e-7, BEAM_SPEED), (5e-6, 1e300, BEAM_SPEED), (-5e-6, 0.01, 1e6)],
+        ids=["singular", "far-position", "turned-back"],
+    )
+    def test_row_raises_what_integrate_trajectory_raises(self, q, distance, speed):
+        # A turned-back orbit runs to the step cap, so the row's exit runs at a
+        # small cap; the other two end within 1,000 steps in scan_row itself.
+        particle = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[-0.5, 0, 0], v0=[speed, 0, 0])
+        src = PointCharge(q=q, position=[0, 1, 0])
+        placed = with_position(src, beam_geometry().source_position(distance))
+        runs = [lambda: integrate_trajectory(particle, placed, 0.5, 1e-11, max_steps=20_000),
+                lambda: _rk4_exit(particle, placed, 0.5, 1e-11, 20_000, 1e-6)]
+        if speed == BEAM_SPEED:
+            runs.append(lambda: scan_row(particle, src, beam_geometry(), distance, 1e-11))
+        raised = []
+        for run in runs:
+            with pytest.raises((RuntimeError, ArithmeticError)) as info:
+                run()
+            raised.append((info.type, str(info.value)))
+        assert raised == [raised[0]] * len(runs)
 
     @pytest.mark.parametrize("distance, inside", [(0.06, True), (0.3, False)])
     def test_box_row_is_the_exact_path(self, count_calls, distance, inside):

@@ -127,6 +127,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_ev_trials(EvSetup(), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [1e6, 16960.0, True, "100"])
+    def test_non_integer_trials_rejected_before_any_draw(self, n):
+        # 1e6 drew 15 blocks (983,040 draws) and then failed with a TypeError.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^n_trials must be an integer"):
+            run_ev_trials(EvSetup(), n, rng)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_trials_accepted(self):
+        expected = run_ev_trials(EvSetup(), 1000, np.random.default_rng(3))
+        assert run_ev_trials(EvSetup(), np.int64(1000), np.random.default_rng(3)) == expected
+
     def test_empirical_matches_analytic_over_setups(self):
         rng = np.random.default_rng(77)
         n = 1_000_000

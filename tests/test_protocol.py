@@ -1,5 +1,6 @@
 """Cage calibration, phase corrections, trial counts, and the discrete scan."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -26,7 +27,9 @@ from ifmsim.matter_mz import (
 from ifmsim.photon_mz import _count_below
 from ifmsim.protocol import (
     CalibrationSetup,
+    PositionRecord,
     ScanConfig,
+    ScanResult,
     ab_phase,
     calibrate,
     potential_phase,
@@ -258,6 +261,15 @@ class TestScanConfigValidation:
         with pytest.raises(ValueError):
             scan_config(trials_per_position=0)
 
+    @pytest.mark.parametrize("trials", [176.0, True, np.float64(200.0), "200"])
+    def test_trials_must_be_an_integer(self, trials):
+        # 176.0 and True constructed, and the scan failed in numpy after its first row.
+        with pytest.raises(ValueError, match="^trials_per_position must be an integer"):
+            scan_config(trials_per_position=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        assert scan_config(trials_per_position=np.int64(200)).trials_per_position == 200
+
     def test_confidence_in_open_interval(self):
         with pytest.raises(ValueError):
             scan_config(confidence_target=1.0)
@@ -291,6 +303,21 @@ class TestRunFieldScan:
         assert result.bracket is None
         assert len(result.per_position) == 7
         assert all(not rec.blocked for rec in result.per_position)
+
+    def test_records_have_no_dict_and_round_trip(self):
+        # Slotted records keep no __dict__, so a retained ScanResult is smaller.
+        result = run_field_scan(calibrated_model(), PointCharge(q=5e-6, position=[0, 1, 0]),
+                                beam_particle(), scan_config())
+        record = result.per_position[0]
+        assert not hasattr(result, "__dict__") and not hasattr(record, "__dict__")
+        assert PositionRecord(**dataclasses.asdict(record)) == record
+        assert dataclasses.replace(record, detections=0).detections == 0
+        fields = dataclasses.asdict(result)
+        fields["per_position"] = tuple(PositionRecord(**r) for r in fields["per_position"])
+        copy = ScanResult(**fields)
+        assert copy.per_position == result.per_position
+        assert copy.bracket == result.bracket and copy.field_bound == result.field_bound
+        assert np.array_equal(copy.detected_v_final, result.detected_v_final)
 
     def test_detection_and_interaction_free_signature(self):
         particle = beam_particle()
