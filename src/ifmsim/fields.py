@@ -17,10 +17,14 @@ exact Kepler/Rutherford orbit (:func:`coulomb_deflection`), whose exit angle
 is a cancellation-free root so that it stays exact as the deflection goes to
 0.  Fixed-step RK4 (:func:`integrate_trajectory`) is kept as the oracle for
 both; its one stepping loop (:func:`_rk4_run`) writes a point charge's
-Coulomb acceleration out in each stage, and four trajectory digests pin it.
-:func:`scan_row` runs point-charge rows on that loop, keeping only the state on
-the exit plane (:func:`_rk4_exit`), so a tracer of integrate_trajectory no
-longer sees them.  Brent's
+Coulomb acceleration out in each stage.  A planar pass (launch z, vz and
+source z all +0.0, q Q / m finite), which every scan geometry in use is,
+takes planar stages without the z terms, bit for bit the 3-D stages; the
+planar Coulomb digest pins them, the 3-D digests the 3-D stages, and seven
+edge digests the launches that must stay 3-D.  :func:`scan_row` runs
+point-charge rows on that loop, keeping only the state on the exit plane
+(:func:`_rk4_exit`), so a tracer of integrate_trajectory no longer sees
+them.  Brent's
 root-finder, seeded with the bracketing pair from a coarse five-sample
 monotonicity scan, inverts deflection-vs-distance to the critical source
 distance for a given threshold angle on the exact deflections, so it
@@ -55,7 +59,7 @@ def _vec3(value, name: str) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -79,7 +83,7 @@ class _BoxRegion:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             object.__setattr__(self, f.name, _vec3(getattr(self, f.name), f.name))
-        if not np.all(self.box_max > self.box_min):
+        if not all(lo < hi for lo, hi in zip(self.box_min.tolist(), self.box_max.tolist())):
             raise ValueError("field region box must have positive extent")
 
     @property
@@ -271,6 +275,11 @@ def _acceleration_fn(particle: TestParticle, source: UniformBRegion | UniformERe
     raise TypeError(f"unsupported field source {type(source).__name__}")
 
 
+def _plus_zero(*values: float) -> bool:
+    """True if every value is +0.0 (a -0.0 fails)."""
+    return all(v == 0.0 and math.copysign(1.0, v) > 0.0 for v in values)
+
+
 def _rk4_run(particle: TestParticle, source: FieldSource, guard):
     """The classical RK4 loop, run(x, y, z, vx, vy, vz, h, n, exit_x, direction, times, states).
 
@@ -284,57 +293,98 @@ def _rk4_run(particle: TestParticle, source: FieldSource, guard):
     ``guard`` = (reach2, cutoff, dt) runs the singularity test of
     :func:`integrate_trajectory` before a step from within sqrt(reach2); a
     box runs the same stages over its :func:`_acceleration_fn` closure.
+
+    A planar pass takes planar stages: when k is finite and the call's z and
+    vz and the source's z are all +0.0, every z term of the 3-D stages is
+    +0.0 (k times a zero d_z is +-0.0, and +0.0 + -0.0 is +0.0), so z and vz
+    stay +0.0 and |d|^2 gains only an exact +0.0.  The planar stages drop
+    d_z, a_z, v_z and the new z terms and keep every x/y operation in order,
+    so a step is bit for bit the 3-D step.  An infinite k would turn z into
+    NaN (inf * 0), and the 3-D stages keep a vz of -0.0 as it is; the
+    source's z must be +0.0 too.  The digests of the test suite pin both
+    stage sets and these edges.
     """
     point = isinstance(source, PointCharge)
     if point:
         k = particle.q / particle.m * source.q
         sx, sy, sz = (float(c) for c in source.position)
+        flat = math.isfinite(k) and _plus_zero(sz)
         reach2, cutoff, dt = guard or (0.0, 0.0, 0.0)
+
+        def check(dx, dy, dz, vx, vy, vz):
+            # Closest approach of the step's segment r + s*v*dt, 0 <= s <= 1.
+            ux, uy, uz = vx * dt, vy * dt, vz * dt
+            s = -(dx * ux + dy * uy + dz * uz) / ((ux * ux + uy * uy + uz * uz) or 1.0)
+            s = min(max(s, 0.0), 1.0)
+            px, py, pz = dx + s * ux, dy + s * uy, dz + s * uz
+            if px * px + py * py + pz * pz < cutoff * cutoff:
+                raise SingularityError(f"trajectory within {cutoff} cm of the point source")
     else:
+        flat = False
         accel = _acceleration_fn(particle, source)
 
     def run(x, y, z, vx, vy, vz, h, n, exit_x, direction, times, states):
         half, six = 0.5 * h, h / 6.0
+        planar = flat and _plus_zero(z, vz)
         for i in range(n):
-            if point:
-                dx, dy, dz = x - sx, y - sy, z - sz
-                r2 = dx * dx + dy * dy + dz * dz
+            if planar:
+                dx, dy = x - sx, y - sy
+                r2 = dx * dx + dy * dy
                 if r2 < reach2:
-                    # Closest approach of the step's segment r + s*v*dt, 0 <= s <= 1.
-                    ux, uy, uz = vx * dt, vy * dt, vz * dt
-                    s = -(dx * ux + dy * uy + dz * uz) / ((ux * ux + uy * uy + uz * uz) or 1.0)
-                    s = min(max(s, 0.0), 1.0)
-                    px, py, pz = dx + s * ux, dy + s * uy, dz + s * uz
-                    if px * px + py * py + pz * pz < cutoff * cutoff:
-                        raise SingularityError(f"trajectory within {cutoff} cm of the point source")
+                    check(dx, dy, 0.0, vx, vy, 0.0)
                 inv = r2 ** -1.5
-                a1x, a1y, a1z = k * dx * inv, k * dy * inv, k * dz * inv
-                dx, dy, dz = x + half * vx - sx, y + half * vy - sy, z + half * vz - sz
-                v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
-                inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-                a2x, a2y, a2z = k * dx * inv, k * dy * inv, k * dz * inv
-                dx, dy, dz = x + half * v2x - sx, y + half * v2y - sy, z + half * v2z - sz
-                v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
-                inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-                a3x, a3y, a3z = k * dx * inv, k * dy * inv, k * dz * inv
-                dx, dy, dz = x + h * v3x - sx, y + h * v3y - sy, z + h * v3z - sz
-                v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
-                inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-                a4x, a4y, a4z = k * dx * inv, k * dy * inv, k * dz * inv
+                a1x, a1y = k * dx * inv, k * dy * inv
+                dx, dy = x + half * vx - sx, y + half * vy - sy
+                v2x, v2y = vx + half * a1x, vy + half * a1y
+                inv = (dx * dx + dy * dy) ** -1.5
+                a2x, a2y = k * dx * inv, k * dy * inv
+                dx, dy = x + half * v2x - sx, y + half * v2y - sy
+                v3x, v3y = vx + half * a2x, vy + half * a2y
+                inv = (dx * dx + dy * dy) ** -1.5
+                a3x, a3y = k * dx * inv, k * dy * inv
+                dx, dy = x + h * v3x - sx, y + h * v3y - sy
+                v4x, v4y = vx + h * a3x, vy + h * a3y
+                inv = (dx * dx + dy * dy) ** -1.5
+                a4x, a4y = k * dx * inv, k * dy * inv
+                nx = x + six * (vx + 2.0 * (v2x + v3x) + v4x)
+                ny = y + six * (vy + 2.0 * (v2y + v3y) + v4y)
+                nvx = vx + six * (a1x + 2.0 * (a2x + a3x) + a4x)
+                nvy = vy + six * (a1y + 2.0 * (a2y + a3y) + a4y)
+                nz = nvz = 0.0
             else:
-                a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
-                v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
-                a2x, a2y, a2z = accel(x + half * vx, y + half * vy, z + half * vz, v2x, v2y, v2z)
-                v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
-                a3x, a3y, a3z = accel(x + half * v2x, y + half * v2y, z + half * v2z, v3x, v3y, v3z)
-                v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
-                a4x, a4y, a4z = accel(x + h * v3x, y + h * v3y, z + h * v3z, v4x, v4y, v4z)
-            nx = x + six * (vx + 2.0 * (v2x + v3x) + v4x)
-            ny = y + six * (vy + 2.0 * (v2y + v3y) + v4y)
-            nz = z + six * (vz + 2.0 * (v2z + v3z) + v4z)
-            nvx = vx + six * (a1x + 2.0 * (a2x + a3x) + a4x)
-            nvy = vy + six * (a1y + 2.0 * (a2y + a3y) + a4y)
-            nvz = vz + six * (a1z + 2.0 * (a2z + a3z) + a4z)
+                if point:
+                    dx, dy, dz = x - sx, y - sy, z - sz
+                    r2 = dx * dx + dy * dy + dz * dz
+                    if r2 < reach2:
+                        check(dx, dy, dz, vx, vy, vz)
+                    inv = r2 ** -1.5
+                    a1x, a1y, a1z = k * dx * inv, k * dy * inv, k * dz * inv
+                    dx, dy, dz = x + half * vx - sx, y + half * vy - sy, z + half * vz - sz
+                    v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+                    inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+                    a2x, a2y, a2z = k * dx * inv, k * dy * inv, k * dz * inv
+                    dx, dy, dz = x + half * v2x - sx, y + half * v2y - sy, z + half * v2z - sz
+                    v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+                    inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+                    a3x, a3y, a3z = k * dx * inv, k * dy * inv, k * dz * inv
+                    dx, dy, dz = x + h * v3x - sx, y + h * v3y - sy, z + h * v3z - sz
+                    v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+                    inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+                    a4x, a4y, a4z = k * dx * inv, k * dy * inv, k * dz * inv
+                else:
+                    a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
+                    v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+                    a2x, a2y, a2z = accel(x + half * vx, y + half * vy, z + half * vz, v2x, v2y, v2z)
+                    v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+                    a3x, a3y, a3z = accel(x + half * v2x, y + half * v2y, z + half * v2z, v3x, v3y, v3z)
+                    v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+                    a4x, a4y, a4z = accel(x + h * v3x, y + h * v3y, z + h * v3z, v4x, v4y, v4z)
+                nx = x + six * (vx + 2.0 * (v2x + v3x) + v4x)
+                ny = y + six * (vy + 2.0 * (v2y + v3y) + v4y)
+                nz = z + six * (vz + 2.0 * (v2z + v3z) + v4z)
+                nvx = vx + six * (a1x + 2.0 * (a2x + a3x) + a4x)
+                nvy = vy + six * (a1y + 2.0 * (a2y + a3y) + a4y)
+                nvz = vz + six * (a1z + 2.0 * (a2z + a3z) + a4z)
             # Written so that a NaN x also ends the loop: the test costs nothing extra.
             if not (exit_x - nx) * direction > 0.0:
                 return (x, y, z, vx, vy, vz), (nx, ny, nz, nvx, nvy, nvz), i
@@ -433,6 +483,10 @@ def integrate_trajectory(
     SHA-256 digests of t, r and v in the test suite pin it (a planar and a
     3-D Coulomb pass, an oblique B box and an oblique E box), and with it
     :func:`scan_row`, which keeps only the exit state (:func:`_rk4_exit`).
+    A point-charge launch with r0_z, v0_z and the source's z all +0.0 (and
+    a finite q Q / m) takes the planar stages, which the planar digest pins;
+    any other takes the 3-D stages, and seven edge digests (a nonzero or
+    -0.0 z0, vz0 or source z, and a repulsive planar pass) pin the choice.
     ``dt`` must be finite and positive.  Integration runs until the x
     coordinate crosses ``exit_plane_x`` (the final partial step is refined
     onto the plane).  The particle must initially move toward the plane
@@ -878,7 +932,10 @@ def scan_row(
     RK4 at ``dt`` and the default limits of :func:`integrate_trajectory`,
     through the sample-free :func:`_rk4_exit` of its loop: bit for bit its
     deflection (its digests pin both), though a tracer of it no longer sees
-    the row, until the exact orbit replaces it (ROADMAP item 2).  The
+    the row, until the exact orbit replaces it (ROADMAP item 2).  A planar
+    row (particle and source on z = +0.0, as every scan geometry in use
+    places them) takes the loop's planar stages, which the planar digest
+    pins; an oblique one the 3-D stages, pinned by the 3-D digest.  The
     magnitude is read where the launch line passes closest to the source's
     reference position; |v0| comes from ``math.hypot``, so neither a tiny
     |v0| nor a far source under- or overflows.

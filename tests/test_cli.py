@@ -270,6 +270,15 @@ class TestMainExitCodes:
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == "detection at distance 0.2 cm; field bound 0.000125 (step error 4.5e-05)"
 
+    def test_signed_exponent_flag_value_in_equals_form(self, tmp_path):
+        # argparse reads "-5e-6" after a space as an option; "--flag=-5e-6" passes it as a value.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "field_scan_electric", "seed": 3,
+                                   "parameters": {"source_charge": -5e-6}}))
+        flag = _fingerprint(["field-scan-electric", "--source-charge=-5e-6", "--seed", "3"],
+                            tmp_path / "flag.json")
+        assert flag == _fingerprint(["run", str(cfg)], tmp_path / "run.json")
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # Valid configuration whose unequal path weights make a perfect null
         # impossible, so the scan refuses to run.

@@ -192,6 +192,13 @@ class TestLorentzForce:
             np.testing.assert_allclose(fast[:3], slow_r, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(fast[3:], slow_v, rtol=1e-12, atol=1e-30)
 
+    def test_overflowing_k_keeps_the_3d_stages(self):
+        # q Q / m overflows to -inf: the 3-D stages turn a planar z and vz
+        # into NaN (inf * 0), and the planar stages would keep them at 0.0.
+        run = _rk4_run(beam_particle(), PointCharge(q=1e300, position=[0.0, 0.2, 0.0]), None)
+        step = run(-0.5, 0.0, 0.0, BEAM_SPEED, 0.0, 0.0, 1e-11, 1, 0.0, 0.0, None, None)[1]
+        assert math.isnan(step[2]) and math.isnan(step[5])
+
 
 class TestIntegrateTrajectory:
     def test_free_particle_goes_straight(self):
@@ -339,6 +346,43 @@ class TestIntegrateTrajectory:
         particle = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[-0.5, 0.01, -0.02],
                                 v0=[BEAM_SPEED, 2e5, -3e5])
         result = integrate_trajectory(particle, source, 0.5, 1e-11)
+        digest = hashlib.sha256()
+        for samples in (result.t, result.r, result.v):
+            digest.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
+        assert result.r.shape == result.v.shape == (n, 3)
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize(
+        "r0, v0, q, position, n, expected",
+        [
+            ([-0.5, 0.0, 0.01], [BEAM_SPEED, 0.0, 0.0], 5e-6, [0.0, 0.2, 0.0], 1001,
+             "08c32d26f25fb9f1e922b29ae9a3b85b4840bed5e8d387fbc69f897e1fe4b7a6"),
+            ([-0.5, 0.0, 0.0], [BEAM_SPEED, 0.0, 2e5], 5e-6, [0.0, 0.2, 0.0], 1001,
+             "f7208b93d1ed52bb385acffee456d1b6ffa4b48e45c2eab2c6bbc092c351f177"),
+            ([-0.5, 0.0, 0.0], [BEAM_SPEED, 0.0, 0.0], 5e-6, [0.0, 0.2, 0.05], 1001,
+             "276a009a667fee8fa96d0199a9bbbb0c8d948f7bd76279f6aac4864e9581a679"),
+            ([-0.5, 0.0, -0.0], [BEAM_SPEED, 0.0, 0.0], 5e-6, [0.0, 0.2, 0.0], 1001,
+             "82d863fa57d265f6b962a909ee9f5691348289c3cc503ea1cba1637f21040f3b"),
+            ([-0.5, 0.0, 0.0], [BEAM_SPEED, 0.0, -0.0], 5e-6, [0.0, 0.2, 0.0], 1001,
+             "9001830f62730245caf7cfdafd3bed7eb4df6139338d948fa575010c4b9402dd"),
+            ([-0.5, 0.0, 0.0], [BEAM_SPEED, 0.0, 0.0], 5e-6, [0.0, 0.2, -0.0], 1001,
+             "1ae1255711bfe771e46c8902e4d33fd71cb0b5ab0d24d13a31b93ce10579c9ea"),
+            ([-0.5, 0.0, 0.0], [BEAM_SPEED, 0.0, 0.0], -5e-6, [0.0, 0.2, 0.0], 1002,
+             "2411415e115fcd556bdf601602620c1fcc283aec6324b17b5adb80a81c9a2bbd"),
+        ],
+        ids=["z0", "vz0", "source-z", "z0-minus-zero", "vz0-minus-zero",
+             "source-z-minus-zero", "repulsive-planar"],
+    )
+    def test_planar_edge_samples_match_recorded_digest(self, r0, v0, q, position, n, expected):
+        """Launches at the edges of the planar stage set, signed zeros included, pinned bit for bit.
+
+        The six launches just off the condition (z, vz and source z all
+        +0.0) take the 3-D stages, the repulsive planar pass the planar ones;
+        every digest was recorded on the 3-D stages alone.  A -0.0 source z
+        gives the bits of the +0.0 pass in test_samples_match_recorded_digest.
+        """
+        particle = TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=r0, v0=v0)
+        result = integrate_trajectory(particle, PointCharge(q=q, position=position), 0.5, 1e-11)
         digest = hashlib.sha256()
         for samples in (result.t, result.r, result.v):
             digest.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
