@@ -352,7 +352,7 @@ class Scenario:
     help: str
     params: dict
     flags: tuple
-    run: Callable  # (filled parameters, seed) -> (payload body, scan rows or None)
+    run: Callable  # (filled parameters, seed) -> payload body (parameters, results)
     summary: Callable  # payload results -> lines
     check: Callable | None = None  # (filled parameters) -> errors, once every key passed
 
@@ -536,10 +536,9 @@ SCENARIOS = tuple(SCENARIO_TABLE)
 def run_scenario(config: ScenarioConfig) -> ResultRecord:
     """Dispatch a validated configuration and build its result record."""
     entry = SCENARIO_TABLE[config.scenario]
-    body, rows = entry.run(_filled(entry.params, config.parameters), config.seed)
+    body = entry.run(_filled(entry.params, config.parameters), config.seed)
     payload = {"scenario": config.scenario, "seed": config.seed, **body}
-    return ResultRecord(metadata=make_metadata("ifmsim", __version__), payload=payload,
-                        scan_rows=rows)
+    return ResultRecord(metadata=make_metadata("ifmsim", __version__), payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -550,22 +549,23 @@ def run_scenario(config: ScenarioConfig) -> ResultRecord:
 def _write_outputs(record: ResultRecord, output_path: str | None) -> int:
     """Print the summary and write the record; 1 when a file cannot be written."""
     payload = record.payload
+    rows = payload["results"].get("per_position")
     print(f"scenario: {payload['scenario']}   seed: {payload['seed']}")
     for line in SCENARIO_TABLE[payload["scenario"]].summary(payload["results"]):
         print(line)
     if output_path is None:
         print(record_text(record), end="")
-        if record.scan_rows:
-            print(scan_table_text(record.scan_rows), end="")
+        if rows:
+            print(scan_table_text(rows), end="")
         return 0
     path = Path(output_path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(record_text(record))
         print(f"record written to {path}")
-        if record.scan_rows is not None:
+        if rows is not None:
             table_path = path.with_suffix(".scan.tsv")
-            table_path.write_text(scan_table_text(record.scan_rows))
+            table_path.write_text(scan_table_text(rows))
             print(f"scan table written to {table_path}")
     except OSError as exc:
         print(f"error [{payload['scenario']}]: cannot write {exc.filename or path}: "

@@ -16,19 +16,16 @@ to the plane, in O(1).  A point charge's deflection has a closed form too, the
 exact Kepler/Rutherford orbit (:func:`coulomb_deflection`), whose exit angle
 is a cancellation-free root so that it stays exact as the deflection goes to
 0.  Fixed-step RK4 (:func:`integrate_trajectory`) is kept as the oracle for
-both; its one stepping loop (:func:`_rk4_run`) writes a point charge's
-Coulomb acceleration out in each stage.  A planar pass (launch z, vz and
-source z all +0.0, q Q / m finite), which every scan geometry in use is,
-takes planar stages without the z terms, bit for bit the 3-D stages; the
-planar Coulomb digest pins them, the 3-D digests the 3-D stages, and seven
-edge digests the launches that must stay 3-D.  :func:`scan_row` runs
-point-charge rows on that loop, keeping only the state on the exit plane
-(:func:`_rk4_exit`), so a tracer of integrate_trajectory no longer sees
-them.  Brent's
-root-finder, seeded with the bracketing pair from a coarse five-sample
-monotonicity scan, inverts deflection-vs-distance to the critical source
-distance for a given threshold angle on the exact deflections, so it
-integrates nothing.
+both.  Its one stepping loop (:func:`_rk4_run`) fuses only the planar
+Coulomb pass (launch z, vz and source z all +0.0, q Q / m finite), which
+every scan geometry in use is: its stages write the Coulomb acceleration
+out without the z terms, bit for bit the 3-D stages.  Every other pass
+steps through the source's :func:`_acceleration_fn` closure.
+:func:`scan_row` runs point-charge rows on that loop, keeping only the
+state on the exit plane (:func:`_rk4_exit`).  Brent's root-finder, seeded
+with the bracketing pair from a coarse five-sample monotonicity scan,
+inverts deflection-vs-distance to the critical source distance for a given
+threshold angle on the exact deflections, so it integrates nothing.
 """
 
 from __future__ import annotations
@@ -62,6 +59,12 @@ def _vec3(value, name: str) -> np.ndarray:
     if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} must be finite")
     return v
+
+
+def _require_positive(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and positive; NaN fails too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +122,11 @@ FieldSource = PointCharge | UniformBRegion | UniformERegion
 # Nonrelativistic speed bound as a fraction of c.
 MAX_SPEED_FRACTION = 0.01
 
+# RK4 limits: the step cap, and the closest approach (cm) to a point charge
+# before a path counts as singular.
+MAX_STEPS = 2_000_000
+SINGULARITY_CUTOFF = 1e-6
+
 # Machine epsilon; the root finder's relative tolerance never drops below 8x it.
 _EPS = float(np.finfo(float).eps)
 
@@ -142,8 +150,9 @@ class TestParticle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "r0", _vec3(self.r0, "r0"))
         object.__setattr__(self, "v0", _vec3(self.v0, "v0"))
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
+        if not math.isfinite(self.q):
+            raise ValueError("charge must be finite")
+        _require_positive(self.m, "mass")
         speed = float(np.linalg.norm(self.v0))
         if speed >= MAX_SPEED_FRACTION * CGS.c:
             raise ValueError(
@@ -190,12 +199,6 @@ class ProtocolError(RuntimeError):
     """Deflection-vs-distance is not monotone where the protocol requires it."""
 
 
-def _require_positive(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is finite and positive; NaN fails too."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive")
-
-
 def eval_fields(source: FieldSource, r) -> tuple[np.ndarray, np.ndarray]:
     """Electric and magnetic field of ``source`` at point ``r`` (cm).
 
@@ -237,14 +240,24 @@ def lorentz_force(q: float, v, E, B) -> np.ndarray:
     return q * (E + cross / (2.0 * CGS.c))
 
 
-def _acceleration_fn(particle: TestParticle, source: UniformBRegion | UniformERegion):
-    """Specialized scalar acceleration a(r, v) of a field box, for :func:`_rk4_run`.
+def _acceleration_fn(particle: TestParticle, source: FieldSource):
+    """Specialized scalar acceleration a(r, v) of a field source, for :func:`_rk4_run`.
 
     Each branch is the scalar expansion of lorentz_force(q, v,
-    *eval_fields(source, r)) / m; the equivalence is pinned by the test
-    suite.
+    *eval_fields(source, r)) / m, a point charge's k d / |d|^3 (k = q Q / m,
+    d = r - source); the equivalence is pinned by the test suite.
     """
     qm = particle.q / particle.m
+    if isinstance(source, PointCharge):
+        k = qm * source.q
+        sx, sy, sz = (float(c) for c in source.position)
+
+        def accel(x, y, z, vx, vy, vz):
+            dx, dy, dz = x - sx, y - sy, z - sz
+            inv = (dx * dx + dy * dy + dz * dz) ** -1.5
+            return k * dx * inv, k * dy * inv, k * dz * inv
+
+        return accel
     if isinstance(source, UniformERegion):
         ax0, ay0, az0 = (qm * float(c) for c in source.E)
         lx, ly, lz = (float(c) for c in source.box_min)
@@ -287,41 +300,40 @@ def _rk4_run(particle: TestParticle, source: FieldSource, guard):
     first step whose x is not short of ``exit_x`` (nor is a NaN x), that
     step's result (None if all ``n`` fall short) and the steps before it; a
     zero ``direction`` stops at the first step.  Given ``times``, each step
-    appends its time there and its state to ``states``.  A point charge's
-    stages write k d / |d|^3 (k = q Q / m, d = r - source) out in the order
-    of lorentz_force(q, v, *eval_fields(source, r)) / m, bit for bit, and
+    appends its time there and its state to ``states``.  For a point charge,
     ``guard`` = (reach2, cutoff, dt) runs the singularity test of
-    :func:`integrate_trajectory` before a step from within sqrt(reach2); a
-    box runs the same stages over its :func:`_acceleration_fn` closure.
+    :func:`integrate_trajectory` before a step from within sqrt(reach2).
 
-    A planar pass takes planar stages: when k is finite and the call's z and
-    vz and the source's z are all +0.0, every z term of the 3-D stages is
-    +0.0 (k times a zero d_z is +-0.0, and +0.0 + -0.0 is +0.0), so z and vz
-    stay +0.0 and |d|^2 gains only an exact +0.0.  The planar stages drop
-    d_z, a_z, v_z and the new z terms and keep every x/y operation in order,
-    so a step is bit for bit the 3-D step.  An infinite k would turn z into
-    NaN (inf * 0), and the 3-D stages keep a vz of -0.0 as it is; the
-    source's z must be +0.0 too.  The digests of the test suite pin both
-    stage sets and these edges.
+    There are two stage sets.  Every pass but one steps through the
+    :func:`_acceleration_fn` closure of its source.  The exception is a
+    planar Coulomb pass: when k = q Q / m is finite and the call's z and vz
+    and the source's z are all +0.0, every z term of the 3-D stages is +0.0
+    (k times a zero d_z is +-0.0, and +0.0 + -0.0 is +0.0), so z and vz stay
+    +0.0 and |d|^2 gains only an exact +0.0.  Its stages write k d / |d|^3
+    out without the z terms and keep every x/y operation in order, so a step
+    is bit for bit the 3-D step.  An infinite k would turn z into NaN (inf *
+    0), and the 3-D stages keep a vz of -0.0 as it is; the source's z must be
+    +0.0 too.  The digests of the test suite pin both stage sets and these
+    edges.
     """
-    point = isinstance(source, PointCharge)
-    if point:
+    accel = _acceleration_fn(particle, source)
+    reach2, cutoff, dt = guard or (0.0, 0.0, 0.0)
+    # A box takes no planar stages and meets no guard: no r2 is below a reach2 of 0.
+    sx = sy = sz = k = 0.0
+    flat = False
+    if isinstance(source, PointCharge):
         k = particle.q / particle.m * source.q
         sx, sy, sz = (float(c) for c in source.position)
         flat = math.isfinite(k) and _plus_zero(sz)
-        reach2, cutoff, dt = guard or (0.0, 0.0, 0.0)
 
-        def check(dx, dy, dz, vx, vy, vz):
-            # Closest approach of the step's segment r + s*v*dt, 0 <= s <= 1.
-            ux, uy, uz = vx * dt, vy * dt, vz * dt
-            s = -(dx * ux + dy * uy + dz * uz) / ((ux * ux + uy * uy + uz * uz) or 1.0)
-            s = min(max(s, 0.0), 1.0)
-            px, py, pz = dx + s * ux, dy + s * uy, dz + s * uz
-            if px * px + py * py + pz * pz < cutoff * cutoff:
-                raise SingularityError(f"trajectory within {cutoff} cm of the point source")
-    else:
-        flat = False
-        accel = _acceleration_fn(particle, source)
+    def check(dx, dy, dz, vx, vy, vz):
+        # Closest approach of the step's segment r + s*v*dt, 0 <= s <= 1.
+        ux, uy, uz = vx * dt, vy * dt, vz * dt
+        s = -(dx * ux + dy * uy + dz * uz) / ((ux * ux + uy * uy + uz * uz) or 1.0)
+        s = min(max(s, 0.0), 1.0)
+        px, py, pz = dx + s * ux, dy + s * uy, dz + s * uz
+        if px * px + py * py + pz * pz < cutoff * cutoff:
+            raise SingularityError(f"trajectory within {cutoff} cm of the point source")
 
     def run(x, y, z, vx, vy, vz, h, n, exit_x, direction, times, states):
         half, six = 0.5 * h, h / 6.0
@@ -352,33 +364,16 @@ def _rk4_run(particle: TestParticle, source: FieldSource, guard):
                 nvy = vy + six * (a1y + 2.0 * (a2y + a3y) + a4y)
                 nz = nvz = 0.0
             else:
-                if point:
-                    dx, dy, dz = x - sx, y - sy, z - sz
-                    r2 = dx * dx + dy * dy + dz * dz
-                    if r2 < reach2:
-                        check(dx, dy, dz, vx, vy, vz)
-                    inv = r2 ** -1.5
-                    a1x, a1y, a1z = k * dx * inv, k * dy * inv, k * dz * inv
-                    dx, dy, dz = x + half * vx - sx, y + half * vy - sy, z + half * vz - sz
-                    v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
-                    inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-                    a2x, a2y, a2z = k * dx * inv, k * dy * inv, k * dz * inv
-                    dx, dy, dz = x + half * v2x - sx, y + half * v2y - sy, z + half * v2z - sz
-                    v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
-                    inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-                    a3x, a3y, a3z = k * dx * inv, k * dy * inv, k * dz * inv
-                    dx, dy, dz = x + h * v3x - sx, y + h * v3y - sy, z + h * v3z - sz
-                    v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
-                    inv = (dx * dx + dy * dy + dz * dz) ** -1.5
-                    a4x, a4y, a4z = k * dx * inv, k * dy * inv, k * dz * inv
-                else:
-                    a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
-                    v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
-                    a2x, a2y, a2z = accel(x + half * vx, y + half * vy, z + half * vz, v2x, v2y, v2z)
-                    v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
-                    a3x, a3y, a3z = accel(x + half * v2x, y + half * v2y, z + half * v2z, v3x, v3y, v3z)
-                    v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
-                    a4x, a4y, a4z = accel(x + h * v3x, y + h * v3y, z + h * v3z, v4x, v4y, v4z)
+                dx, dy, dz = x - sx, y - sy, z - sz
+                if dx * dx + dy * dy + dz * dz < reach2:
+                    check(dx, dy, dz, vx, vy, vz)
+                a1x, a1y, a1z = accel(x, y, z, vx, vy, vz)
+                v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+                a2x, a2y, a2z = accel(x + half * vx, y + half * vy, z + half * vz, v2x, v2y, v2z)
+                v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+                a3x, a3y, a3z = accel(x + half * v2x, y + half * v2y, z + half * v2z, v3x, v3y, v3z)
+                v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+                a4x, a4y, a4z = accel(x + h * v3x, y + h * v3y, z + h * v3z, v4x, v4y, v4z)
                 nx = x + six * (vx + 2.0 * (v2x + v3x) + v4x)
                 ny = y + six * (vy + 2.0 * (v2y + v3y) + v4y)
                 nz = z + six * (vz + 2.0 * (v2z + v3z) + v4z)
@@ -473,20 +468,21 @@ def integrate_trajectory(
     exit_plane_x: float,
     dt: float,
     *,
-    max_steps: int = 2_000_000,
-    singularity_cutoff: float = 1e-6,
+    max_steps: int = MAX_STEPS,
+    singularity_cutoff: float = SINGULARITY_CUTOFF,
 ) -> TrajectoryResult:
     """RK4 integration of the particle through the source's field.
 
-    Steps come from one :func:`_rk4_run` loop, whose point-charge stages are
-    bit for bit the scalar expansion of lorentz_force(eval_fields).  Four
-    SHA-256 digests of t, r and v in the test suite pin it (a planar and a
-    3-D Coulomb pass, an oblique B box and an oblique E box), and with it
-    :func:`scan_row`, which keeps only the exit state (:func:`_rk4_exit`).
-    A point-charge launch with r0_z, v0_z and the source's z all +0.0 (and
-    a finite q Q / m) takes the planar stages, which the planar digest pins;
-    any other takes the 3-D stages, and seven edge digests (a nonzero or
-    -0.0 z0, vz0 or source z, and a repulsive planar pass) pin the choice.
+    Steps come from one :func:`_rk4_run` loop.  A point-charge launch with
+    r0_z, v0_z and the source's z all +0.0 (and a finite q Q / m) takes its
+    fused planar stages; every other pass steps through the source's
+    :func:`_acceleration_fn` closure, the scalar expansion of
+    lorentz_force(eval_fields).  SHA-256 digests of t, r and v in the test
+    suite pin both stage sets (a planar and a 3-D Coulomb pass, an oblique B
+    box and an oblique E box) and the choice between them (seven edge
+    digests: a nonzero or -0.0 z0, vz0 or source z, and a repulsive planar
+    pass), and with them :func:`scan_row`, which keeps only the exit state
+    (:func:`_rk4_exit`).
     ``dt`` must be finite and positive.  Integration runs until the x
     coordinate crosses ``exit_plane_x`` (the final partial step is refined
     onto the plane).  The particle must initially move toward the plane
@@ -536,7 +532,7 @@ def coulomb_deflection(
     charge: PointCharge,
     exit_plane_x: float,
     *,
-    singularity_cutoff: float = 1e-6,
+    singularity_cutoff: float = SINGULARITY_CUTOFF,
 ) -> float:
     """Deflection angle at the exit plane on the exact Coulomb orbit, in O(1).
 
@@ -903,15 +899,13 @@ def deflection_at_distance(
     source_template: FieldSource,
     geometry: BeamGeometry,
     distance: float,
-    dt: float,
 ) -> float:
     """Deflection angle with the source placed ``distance`` cm from the beam.
 
     A point charge takes the exact orbit (:func:`coulomb_deflection`), a box
-    source the exact piecewise path (:func:`box_deflection`); ``dt`` must be
-    finite and positive but is no longer used.
+    source the exact piecewise path (:func:`box_deflection`), so it
+    integrates nothing.
     """
-    _require_positive(dt, "dt")
     source = with_position(source_template, geometry.source_position(distance))
     if isinstance(source, PointCharge):
         return coulomb_deflection(particle, source, geometry.exit_plane_x)
@@ -929,21 +923,20 @@ def scan_row(
 
     The source is placed ``distance`` cm from the beam.  A box source takes
     the exact piecewise path (:func:`box_deflection`).  A point charge takes
-    RK4 at ``dt`` and the default limits of :func:`integrate_trajectory`,
-    through the sample-free :func:`_rk4_exit` of its loop: bit for bit its
-    deflection (its digests pin both), though a tracer of it no longer sees
-    the row, until the exact orbit replaces it (ROADMAP item 2).  A planar
-    row (particle and source on z = +0.0, as every scan geometry in use
-    places them) takes the loop's planar stages, which the planar digest
-    pins; an oblique one the 3-D stages, pinned by the 3-D digest.  The
-    magnitude is read where the launch line passes closest to the source's
+    RK4 at ``dt`` with :data:`MAX_STEPS` and :data:`SINGULARITY_CUTOFF`,
+    through the sample-free :func:`_rk4_exit` of its loop: bit for bit the
+    deflection of :func:`integrate_trajectory` at its defaults, until the
+    exact orbit replaces it (ROADMAP item 2).  A planar row (particle and
+    source on z = +0.0, as every scan geometry in use places them) takes the
+    loop's fused planar stages; an oblique one steps through
+    :func:`_acceleration_fn`.  The magnitude is read where the launch line passes closest to the source's
     reference position; |v0| comes from ``math.hypot``, so neither a tiny
     |v0| nor a far source under- or overflows.
     """
     source = with_position(source_template, geometry.source_position(distance))
     exit_x = geometry.exit_plane_x
     if isinstance(source, PointCharge):
-        state = _rk4_exit(particle, source, exit_x, dt, 2_000_000, 1e-6)
+        state = _rk4_exit(particle, source, exit_x, dt, MAX_STEPS, SINGULARITY_CUTOFF)
         deflection = _deflection_between(particle.v0, np.array(state[3:]))
     else:
         deflection = box_deflection(particle, source, exit_x)
@@ -977,7 +970,8 @@ def critical_distance(
     floored at 8 machine epsilons).  If ``phi_c`` equals a sample's
     deflection exactly, that sample's distance is returned without further
     evaluation.  Each deflection comes from :func:`deflection_at_distance`,
-    which is exact for every source, so a solve integrates nothing.
+    which is exact for every source, so a solve integrates nothing; ``dt``
+    must be finite and positive, but no deflection reads it.
     """
     _require_positive(dt, "dt")
     lo, hi = bracket
@@ -985,7 +979,7 @@ def critical_distance(
         raise ValueError(f"bracket must satisfy 0 < near < far, got {bracket}")
 
     def deflection(d: float) -> float:
-        return deflection_at_distance(particle, source_template, geometry, d, dt)
+        return deflection_at_distance(particle, source_template, geometry, d)
 
     samples = [float(d) for d in np.linspace(lo, hi, 5)]
     angles = [deflection(d) for d in samples]
@@ -1014,10 +1008,9 @@ def light_deflection(M: float, b: float) -> float:
 
     M in g, impact parameter b in cm; returns radians.
     """
-    if b <= 0:
-        raise ValueError("impact parameter must be positive")
-    if M < 0:
-        raise ValueError("mass must be nonnegative")
+    _require_positive(b, "impact parameter")
+    if not 0.0 <= M < math.inf:
+        raise ValueError("mass must be finite and nonnegative")
     return 4.0 * CGS.G * M / (b * CGS.c**2)
 
 
@@ -1027,8 +1020,6 @@ def sphere_radius_for_deflection(delta_phi: float, density: float) -> float:
     Inverts delta_phi = (16/3) pi G rho R^2 / c^2 (mass (4/3) pi R^3 rho at
     impact parameter R), giving R = sqrt(3 delta_phi c^2 / (16 pi G rho)) cm.
     """
-    if delta_phi <= 0:
-        raise ValueError("target deflection must be positive")
-    if density <= 0:
-        raise ValueError("density must be positive")
+    _require_positive(delta_phi, "target deflection")
+    _require_positive(density, "density")
     return math.sqrt(3.0 * delta_phi * CGS.c**2 / (16.0 * math.pi * CGS.G * density))

@@ -46,7 +46,6 @@ class ResultRecord:
 
     metadata: dict
     payload: dict
-    scan_rows: list[dict] | None = None
 
 
 def make_metadata(tool: str, version: str) -> dict:

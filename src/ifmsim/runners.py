@@ -1,11 +1,11 @@
 """Scenario runners: from validated, default-filled parameters and a seed to a payload.
 
-Each runner returns ``(body, rows)``: ``body`` holds the ``parameters`` the
-payload echoes and the ``results``; ``rows`` are the per-position scan rows,
-or None.  The parameter blocks are the CLI's, with every left-out key already
-at its default (see ``cli.SCENARIO_TABLE``); only the gravity ``density``
-defaults here, to ``IRIDIUM_DENSITY``.  Each ``*_summary`` turns a
-payload's results into the lines printed after a run.
+Each runner returns the payload body: the ``parameters`` the payload echoes
+and the ``results``, where a scan keeps its per-position rows under
+``per_position``.  The parameter blocks are the CLI's, with every left-out
+key already at its default (see ``cli.SCENARIO_TABLE``); only the gravity
+``density`` defaults here, to ``IRIDIUM_DENSITY``.  Each ``*_summary`` turns
+a payload's results into the lines printed after a run.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def scan_trials(p: dict) -> int:
     return int(trials)
 
 
-def ev_bomb(p: dict, seed: int) -> tuple[dict, None]:
+def ev_bomb(p: dict, seed: int) -> dict:
     setup = EvSetup(
         object_present=p["object_present"],
         object_arm=p["object_arm"],
@@ -106,16 +106,16 @@ def ev_bomb(p: dict, seed: int) -> tuple[dict, None]:
         "counts": counts,
         "frequencies": {k: v / trials for k, v in counts.items()},
     }
-    return {"parameters": resolved, "results": results}, None
+    return {"parameters": resolved, "results": results}
 
 
-def zeno(p: dict, seed: int) -> tuple[dict, None]:
+def zeno(p: dict, seed: int) -> dict:
     dist = zeno_ifm_distribution(p["n_cycles"], p["object_present"])
     resolved = {"n_cycles": p["n_cycles"], "object_present": p["object_present"]}
-    return {"parameters": resolved, "results": dataclasses.asdict(dist)}, None
+    return {"parameters": resolved, "results": dataclasses.asdict(dist)}
 
 
-def matter_null(p: dict, seed: int) -> tuple[dict, None]:
+def matter_null(p: dict, seed: int) -> dict:
     g = _gratings(p)
     model = InterferometerModel(**g, arm_extra_phase=float(p["arm_extra_phase"]))
     null = solve_ideal_offset(model)
@@ -132,10 +132,10 @@ def matter_null(p: dict, seed: int) -> tuple[dict, None]:
         "probability_both_blocked": detector_probability(tuned, PathBlockSet.of("upper", "lower")),
         "efficiency": ifm_efficiency(g["g1"], g["g2"]),
     }
-    return {"parameters": resolved, "results": results}, None
+    return {"parameters": resolved, "results": results}
 
 
-def field_scan(p: dict, seed: int, magnetic: bool) -> tuple[dict, list[dict]]:
+def field_scan(p: dict, seed: int, magnetic: bool) -> dict:
     """Calibrate on the cages, then scan a point charge or a uniform-B box toward the beam.
 
     The particle, geometry and cages blocks are echoed as written (an
@@ -194,11 +194,6 @@ def field_scan(p: dict, seed: int, magnetic: bool) -> tuple[dict, list[dict]]:
             "dt": scan_config.dt,
         },
     }
-    rows = [
-        {"index": i, "distance_cm": rec.distance, "deflection_rad": rec.deflection_angle,
-         **{k: v for k, v in dataclasses.asdict(rec).items() if k not in _RENAMED}}
-        for i, rec in enumerate(result.per_position)
-    ]
     results = {
         "calibration": {
             "arm_extra_phase": calibration.model.arm_extra_phase,
@@ -215,9 +210,13 @@ def field_scan(p: dict, seed: int, magnetic: bool) -> tuple[dict, list[dict]]:
             "bracket": list(result.bracket) if result.bracket else None,
             "positions_scanned": len(result.per_position),
         },
-        "per_position": rows,
+        "per_position": [
+            {"index": i, "distance_cm": rec.distance, "deflection_rad": rec.deflection_angle,
+             **{k: v for k, v in dataclasses.asdict(rec).items() if k not in _RENAMED}}
+            for i, rec in enumerate(result.per_position)
+        ],
     }
-    return {"parameters": resolved, "results": results}, rows
+    return {"parameters": resolved, "results": results}
 
 
 def gravity_sphere(delta_phi: float, density: float) -> tuple[float, float]:
@@ -232,7 +231,7 @@ def gravity_sphere(delta_phi: float, density: float) -> tuple[float, float]:
         return radius_cm, math.inf
 
 
-def gravity_deflection(p: dict, seed: int) -> tuple[dict, None]:
+def gravity_deflection(p: dict, seed: int) -> dict:
     """Light bending by a mass at an impact parameter and/or the sphere for a target deflection."""
     resolved: dict = {}
     results: dict = {}
@@ -255,7 +254,7 @@ def gravity_deflection(p: dict, seed: int) -> tuple[dict, None]:
             "sphere_mass_g": sphere_mass,
             "deflection_check": light_deflection(sphere_mass, radius_cm),
         }
-    return {"parameters": resolved, "results": results}, None
+    return {"parameters": resolved, "results": results}
 
 
 def ev_bomb_summary(results: dict) -> list[str]:

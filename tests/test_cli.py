@@ -202,11 +202,11 @@ class TestRunScenario:
         record = run_scenario(config)
         scan = record.payload["results"]["scan"]
         assert scan["conclusive"] is True
-        assert record.scan_rows is not None
-        assert len(record.scan_rows) == scan["positions_scanned"]
-        table = scan_table_text(record.scan_rows)
+        rows = record.payload["results"]["per_position"]
+        assert len(rows) == scan["positions_scanned"]
+        table = scan_table_text(rows)
         assert table.splitlines()[0].startswith("index\tdistance_cm")
-        assert len(table.splitlines()) == len(record.scan_rows) + 1
+        assert len(table.splitlines()) == len(rows) + 1
 
     def test_determinism_of_payload_bytes(self):
         for scenario, params in (
@@ -350,6 +350,22 @@ class TestMainExitCodes:
         header, *rows = table.splitlines()
         assert header.split("\t")[0] == "index"
         assert len(rows) >= 1
+
+    @pytest.mark.parametrize("argv", [
+        ["field-scan-electric", "--source-charge", "5e-6", "--seed", "7"],
+        ["field-scan-magnetic", "--field-strength", "1e-3", "--seed", "7"],
+    ], ids=lambda argv: argv[0])
+    def test_scan_stdout_is_record_then_table(self, argv, tmp_path, capsys):
+        # Without --output the record and the table go to stdout, after the summary.
+        out = tmp_path / "scan.json"
+        assert main([*argv, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        table = (tmp_path / "scan.scan.tsv").read_text()
+        assert stdout.endswith(table)
+        record = stdout[stdout.index("{\n"):-len(table)]
+        assert json.loads(record)["payload"] == json.loads(out.read_text())["payload"]
 
     def test_nonpositive_scan_positions_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

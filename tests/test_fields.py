@@ -143,6 +143,7 @@ class TestLorentzForce:
         rng = np.random.default_rng(8)
         particle = beam_particle()
         sources = [
+            PointCharge(q=5e-6, position=[0.0, 0.2, 0.0]),
             UniformBRegion(B=[0.3, -0.2, 1.0], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
             UniformERegion(E=[1e-5, 2e-5, -3e-6], box_min=[-1, -1, -1], box_max=[1, 1, 1]),
         ]
@@ -612,9 +613,10 @@ class TestCoulombDeflection:
 
     @pytest.mark.parametrize("dt", [0.0, -1e-11, math.nan, math.inf])
     def test_nonpositive_dt_rejected(self, dt):
+        # deflection_at_distance takes no dt; critical_distance still checks its own.
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         with pytest.raises(ValueError, match="dt"):
-            deflection_at_distance(beam_particle(), src, beam_geometry(), 0.2, dt)
+            critical_distance(beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), dt)
 
 
 def random_box_case(kind: str, k: int, inside: bool):
@@ -916,7 +918,7 @@ class TestCriticalDistance:
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         phi_c = 2e-3
         d_c = critical_distance(particle, src, geom, phi_c, (0.10, 0.40), 1e-11)
-        angle = deflection_at_distance(particle, src, geom, d_c, 1e-11)
+        angle = deflection_at_distance(particle, src, geom, d_c)
         assert angle == pytest.approx(phi_c, rel=1e-4)
 
     def test_few_trajectories_per_solve(self, count_calls):
@@ -996,7 +998,7 @@ class TestCriticalDistance:
         geom = beam_geometry()
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         sample = float(np.linspace(0.10, 0.40, 5)[1])
-        phi_c = deflection_at_distance(particle, src, geom, sample, 1e-11)
+        phi_c = deflection_at_distance(particle, src, geom, sample)
         evaluations = count_calls("deflection_at_distance")
         assert critical_distance(particle, src, geom, phi_c, (0.10, 0.40), 1e-11) == sample
         assert len(evaluations) == 5
@@ -1006,7 +1008,7 @@ class TestCriticalDistance:
         geom = beam_geometry()
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         angles = [
-            deflection_at_distance(particle, src, geom, d, 1e-11)
+            deflection_at_distance(particle, src, geom, d)
             for d in np.linspace(0.1, 0.4, 7)
         ]
         assert all(a > b for a, b in zip(angles, angles[1:]))
@@ -1028,7 +1030,7 @@ class TestCriticalDistance:
         geom = beam_geometry()
         src = PointCharge(q=5e-6, position=[0, 1, 0])
         far = 0.40
-        angle_far = deflection_at_distance(particle, src, geom, far, 1e-11)
+        angle_far = deflection_at_distance(particle, src, geom, far)
         d_c = critical_distance(
             particle, src, geom, angle_far * 1.0001, (0.10, far), 1e-11
         )
@@ -1117,3 +1119,30 @@ class TestGravity:
             sphere_radius_for_deflection(0.0, 22.6)
         with pytest.raises(ValueError):
             sphere_radius_for_deflection(1e-9, -1.0)
+
+
+NONFINITE_INPUTS = {
+    # A NaN q or m made coulomb_deflection raise StepLimitError and a scan row
+    # FloatingPointError; an infinite m read every deflection as 0.0.
+    "TestParticle-q": (lambda v: beam_particle(q=v), "charge must be finite"),
+    "TestParticle-m": (
+        lambda v: TestParticle(q=ELECTRON_Q, m=v, r0=[-0.5, 0, 0], v0=[BEAM_SPEED, 0, 0]),
+        "mass must be finite and positive",
+    ),
+    # These two returned a number for a NaN or +inf input.
+    "light_deflection-M": (lambda v: light_deflection(v, 1.0), "mass must be finite and nonnegative"),
+    "light_deflection-b": (lambda v: light_deflection(1.0, v),
+                           "impact parameter must be finite and positive"),
+    "sphere_radius_for_deflection-delta_phi": (lambda v: sphere_radius_for_deflection(v, 22.6),
+                                               "target deflection must be finite and positive"),
+    "sphere_radius_for_deflection-density": (lambda v: sphere_radius_for_deflection(1e-9, v),
+                                             "density must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argument", list(NONFINITE_INPUTS))
+def test_nonfinite_input_rejected(argument, value):
+    build, message = NONFINITE_INPUTS[argument]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(value)
