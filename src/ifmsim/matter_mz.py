@@ -50,9 +50,9 @@ class GratingSpec:
 
     def __post_init__(self) -> None:
         parts = (self.p_minus1, self.p_0, self.p_plus1, self.loss)
-        if any(p < 0.0 or p > 1.0 for p in parts):
+        if not all(0.0 <= p <= 1.0 for p in parts):  # NaN fails too
             raise ValueError(f"diffraction probabilities out of range: {parts}")
-        if abs(sum(parts) - 1.0) > 1e-12:
+        if not abs(sum(parts) - 1.0) <= 1e-12:
             raise ValueError(f"diffraction probabilities sum to {sum(parts)}, expected 1")
 
     @classmethod
@@ -76,6 +76,8 @@ class InterferometerModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.third_grating_phase < _TWO_PI:
             raise ValueError("third_grating_phase must lie in [0, 2*pi)")
+        if not math.isfinite(self.arm_extra_phase):
+            raise ValueError(f"arm_extra_phase must be finite, got {self.arm_extra_phase}")
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,15 @@ interference: the photon is absorbed with probability 1/2, and otherwise
 reaches each detector with probability 1/4 - so a dark-detector click reveals
 the object without any photon having touched it.
 
-The amplitudes are a plain 2-vector (upper, lower) pushed through 2x2
-products: the splitters use the symmetric convention (reflection carries the
-factor i), the object zeroes its arm's amplitude without renormalizing (the
-lost norm is the absorption probability), the mirrors multiply by i and the
-phase plate multiplies the upper arm by exp(i*arm_phase).
+The outcome probabilities are closed forms (Elitzur & Vaidman, Found. Phys.
+23, 987, 1993): 1/4 light, 1/4 dark and 1/2 absorbed with an object in either
+arm, and cos^2(phi/2) light, sin^2(phi/2) dark with empty arms and a phase
+plate of phi on the upper arm.  Their derivation is the 2x2 amplitude chain
+on (upper, lower): balanced splitters whose reflection carries the factor i,
+an object that zeroes its arm's amplitude without renormalizing (the lost
+norm is the absorption probability), mirrors that multiply by i and the phase
+plate's exp(i*phi).  The tests keep that chain as the oracle of the closed
+form.
 
 The 25% light-detector rate with the object present is not independent data:
 it follows from 50% absorption plus 25% dark detection.
@@ -43,10 +47,6 @@ ARMS = (ARM_UPPER, ARM_LOWER)
 OUTCOME_LIGHT = "light"
 OUTCOME_DARK = "dark"
 OUTCOME_ABSORBED = "absorbed"
-
-# Balanced splitter acting on (upper, lower): transmission sqrt(1/2),
-# reflection i*sqrt(1/2).
-SPLITTER = np.sqrt(0.5) * np.array([[1, 1j], [1j, 1]])
 
 # Uniform draws held at once while counting trials.  Generator.random yields
 # the same doubles in the same order whatever the block size, so the block only
@@ -113,19 +113,11 @@ class ZenoDistribution(_Distribution):
 
 
 def _port_probabilities(setup: EvSetup) -> tuple[float, float, float]:
-    """(light, dark, absorbed) probabilities from the 2x2 amplitude chain."""
-    amps = SPLITTER @ np.array([0.0, 1.0], dtype=np.complex128)
-    p_abs = 0.0
+    """(light, dark, absorbed) probabilities in closed form."""
     if setup.object_present:
-        arm = ARMS.index(setup.object_arm)
-        p_abs = abs(complex(amps[arm])) ** 2
-        amps[arm] = 0.0
-    amps = 1j * amps
-    amps[0] *= np.exp(1j * setup.arm_phase)
-    # Python's complex abs, not np.abs: seeded counts depend on the last bit
-    # of these probabilities, and they must not change between releases.
-    light, dark = (abs(complex(a)) ** 2 for a in SPLITTER @ amps)
-    return light, dark, p_abs
+        return 0.25, 0.25, 0.5
+    h = 0.5 * setup.arm_phase
+    return math.cos(h) ** 2, math.sin(h) ** 2, 0.0
 
 
 def ev_outcome_distribution(setup: EvSetup) -> EvDistribution:
@@ -170,7 +162,7 @@ def run_ev_trials(setup: EvSetup, n_trials: int, rng: np.random.Generator) -> di
     cdf[0] <= u < cdf[1], absorbed otherwise.  The draws are counted in fixed
     blocks, so memory does not grow with ``n_trials``.  This is the inverse
     CDF that ``rng.choice(3, size=n_trials, p=p)`` evaluates, so the counts
-    and the generator's final state are bit-identical to those of 0.1.0.
+    and the generator's final state are bit-identical to those of that call.
     """
     _require_count(n_trials, "n_trials")
     light, dark, _ = _port_probabilities(setup)
@@ -200,6 +192,7 @@ def zeno_ifm_distribution(n_cycles: int, object_present: bool) -> ZenoDistributi
     """
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError("n_cycles must lie in [1, 2**53]")
+    _require_count(n_cycles, "n_cycles")
     if not object_present:
         return ZenoDistribution(p_success_detect=0.0, p_absorbed=0.0, p_inconclusive=1.0)
     s = math.sin(math.pi / (4.0 * n_cycles))

@@ -174,6 +174,9 @@ class ScanConfig:
         if not all(p > 0.0 for p in self.positions):
             raise ValueError("positions must be positive distances")
         _require_count(self.trials_per_position, "trials_per_position")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if not 0.0 < self.confidence_target < 1.0:
             raise ValueError("confidence_target must lie in (0, 1)")
         _require_positive(self.phi_c, "phi_c")
@@ -242,19 +245,15 @@ def run_field_scan(
     p_blocked = detector_probability(model, BLOCK_UPPER)
 
     records: list[PositionRecord] = []
-    previous_deflection = None
-    previous_magnitude = None
     for k, distance in enumerate(config.positions):
         deflection, magnitude = scan_row(
             particle, source_template, config.geometry, distance, config.dt
         )
-        if previous_deflection is not None and deflection < previous_deflection - 1e-12:
+        if records and deflection < records[-1].deflection_angle - 1e-12:
             raise ProtocolError(
                 "deflection decreased while the source approached the beam "
-                f"({previous_deflection:.3e} -> {deflection:.3e} at {distance} cm)"
+                f"({records[-1].deflection_angle:.3e} -> {deflection:.3e} at {distance} cm)"
             )
-        previous_deflection = deflection
-
         blocked = deflection > config.phi_c
         p_detect = p_blocked if blocked else p_null
         rng = np.random.default_rng([config.seed, k])
@@ -271,27 +270,22 @@ def run_field_scan(
             )
         )
         if detections >= 1:
-            return ScanResult(
-                per_position=tuple(records),
-                first_detecting_position=distance,
-                field_bound=magnitude,
-                field_bound_error=(
-                    abs(magnitude - previous_magnitude) if previous_magnitude is not None else None
-                ),
-                bracket=(distance, config.positions[k - 1]) if k > 0 else None,
-                conclusive=True,
-                detected_path="lower",
-                detected_v_final=particle.v0.copy(),
-            )
-        previous_magnitude = magnitude
+            break
 
+    last = records[-1]
+    conclusive = last.detections >= 1
+    previous = records[-2] if conclusive and len(records) > 1 else None
     return ScanResult(
         per_position=tuple(records),
-        first_detecting_position=None,
-        field_bound=None,
-        field_bound_error=None,
-        bracket=None,
-        conclusive=False,
-        detected_path=None,
-        detected_v_final=None,
+        first_detecting_position=last.distance if conclusive else None,
+        field_bound=last.field_magnitude if conclusive else None,
+        field_bound_error=(
+            abs(last.field_magnitude - previous.field_magnitude)
+            if previous is not None
+            else None
+        ),
+        bracket=(last.distance, previous.distance) if previous is not None else None,
+        conclusive=conclusive,
+        detected_path="lower" if conclusive else None,
+        detected_v_final=particle.v0.copy() if conclusive else None,
     )

@@ -9,8 +9,6 @@ digits before serialization so the JSON text itself is stable.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from dataclasses import dataclass
@@ -69,17 +67,13 @@ def record_text(record: ResultRecord) -> str:
 
 def scan_table_text(rows: list[dict]) -> str:
     """Flat tab-delimited table of per-position scan rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter="\t", lineterminator="\n")
-    writer.writerow(SCAN_COLUMNS)
+    lines = ["\t".join(SCAN_COLUMNS) + "\n"]
     for row in rows:
-        writer.writerow([_cell(round_floats(row.get(col))) for col in SCAN_COLUMNS])
-    return buf.getvalue()
+        lines.append("\t".join(_cell(round_floats(row[col])) for col in SCAN_COLUMNS) + "\n")
+    return "".join(lines)
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)

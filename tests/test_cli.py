@@ -227,6 +227,10 @@ class TestRunScenario:
         assert doc["metadata"]["tool"] == "ifmsim"
 
 
+# A complete particle block; each exit-2 case below spoils one key of it.
+ELECTRON = {"q": -4.8e-10, "m": 9.11e-28, "r0": [-0.5, 0.0, 0.0], "v0": [1e9, 0.0, 0.0]}
+
+
 class TestMainExitCodes:
     def test_success_and_outputs(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
@@ -564,6 +568,45 @@ class TestMainExitCodes:
             argv = ["run", str(cfg), *extra]
         assert main(argv) == 2
         assert f"{field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, lines",
+        [
+            ({"scenario": "field_scan_electric", "seed": 1,
+              "parameters": {"source_charge": 5e-6, "particle": {**ELECTRON, "m": 0}}},
+             ["parameters.particle.m: must be > 0.0, got 0"]),
+            ({"scenario": "field_scan_electric", "seed": 1,
+              "parameters": {"source_charge": 5e-6, "scan": {"confidence_target": 1}}},
+             ["parameters.scan.confidence_target: must be < 1, got 1"]),
+            ({"scenario": "ev_bomb", "seed": 1,
+              "parameters": {"object_present": True, "trials": 1.5}},
+             ["parameters.trials: expected an integer, got float"]),
+            ({"scenario": "field_scan_electric", "seed": 1,
+              "parameters": {"source_charge": 5e-6, "particle": {**ELECTRON, "r0": [-0.5, 0]}}},
+             ["parameters.particle.r0: expected a list of 3 numbers"]),
+            ({"scenario": "field_scan_electric", "seed": 1,
+              "parameters": {"source_charge": 5e-6, "scan": {"positions": [0.2, 0.3]}}},
+             ["parameters.scan.positions: must be strictly decreasing"]),
+            ([], ["config: expected a JSON object at the top level"]),
+            ({"seed": 1}, ["scenario: required key is missing"]),
+            ({"scenario": "zeno", "seed": 1, "output_path": 5,
+              "parameters": {"n_cycles": 4, "object_present": True}},
+             ["output_path: expected a string path"]),
+            ({"scenario": "gravity_deflection", "seed": 1, "parameters": {"mass": 1e27}},
+             ["parameters.impact_parameter: required key is missing"]),
+            ({"scenario": "zeno", "seed": 1, "parameters": []},
+             ["parameters: expected an object",
+              "parameters.n_cycles: required key is missing",
+              "parameters.object_present: required key is missing"]),
+        ],
+    )
+    def test_config_errors_are_listed_exactly(self, doc, lines, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration errors:\n" + "".join(f"  {ln}\n" for ln in lines)
+        assert captured.out == ""
 
     def test_overlong_int_literal_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,9 @@
 """Two-mode optics behind the bomb test: splitter, absorber and outcome sampling.
 
-The interferometer in ``ifmsim.photon_mz`` is a 2-vector of amplitudes
-(upper, lower) pushed through the constant balanced ``SPLITTER``; an object
-zeroes one amplitude and the lost norm is the absorption probability.
+``ifmsim.photon_mz`` gives the outcome probabilities in closed form.  The
+oracle here is their derivation: a 2-vector of amplitudes (upper, lower)
+pushed through the constant balanced ``SPLITTER``, where an object zeroes one
+amplitude and the lost norm is the absorption probability.
 """
 
 import numpy as np
@@ -11,14 +12,34 @@ import pytest
 from ifmsim.photon_mz import (
     ARM_LOWER,
     ARM_UPPER,
+    ARMS,
     OUTCOME_ABSORBED,
     OUTCOME_DARK,
     OUTCOME_LIGHT,
-    SPLITTER,
     EvSetup,
+    _port_probabilities,
     ev_outcome_distribution,
     run_ev_trials,
 )
+
+# Balanced splitter acting on (upper, lower): transmission sqrt(1/2),
+# reflection i*sqrt(1/2).
+SPLITTER = np.sqrt(0.5) * np.array([[1, 1j], [1j, 1]])
+
+
+def chain_port_probabilities(setup: EvSetup) -> tuple[float, float, float]:
+    """(light, dark, absorbed) probabilities from the 2x2 amplitude chain."""
+    amps = SPLITTER @ np.array([0.0, 1.0], dtype=np.complex128)
+    p_abs = 0.0
+    if setup.object_present:
+        arm = ARMS.index(setup.object_arm)
+        p_abs = abs(complex(amps[arm])) ** 2
+        amps[arm] = 0.0
+    amps = 1j * amps
+    amps[0] *= np.exp(1j * setup.arm_phase)
+    light, dark = (abs(complex(a)) ** 2 for a in SPLITTER @ amps)
+    return light, dark, p_abs
+
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 UPPER_IN = np.array([1.0, 0.0], dtype=np.complex128)
@@ -39,6 +60,32 @@ class TestBeamSplitter:
             dist = ev_outcome_distribution(EvSetup(arm_phase=phase))
             assert dist.p_absorbed == 0.0
             assert abs(dist.p_light_detector + dist.p_dark_detector - 1.0) < 1e-12
+
+
+class TestClosedForm:
+    """The closed form against the amplitude chain it is derived from."""
+
+    def test_matches_chain_over_random_setups(self):
+        rng = np.random.default_rng(15)
+        for scale in (2 * np.pi, 1e3, 1e8):
+            for _ in range(5_000):
+                setup = EvSetup(
+                    object_present=bool(rng.integers(0, 2)),
+                    object_arm=ARMS[rng.integers(0, 2)],
+                    arm_phase=float(rng.uniform(-scale, scale)),
+                )
+                closed = _port_probabilities(setup)
+                chain = chain_port_probabilities(setup)
+                assert max(abs(a - b) for a, b in zip(closed, chain)) <= 1e-15
+                assert max(closed) <= 1.0
+
+    def test_exact_values(self):
+        # The chain reads 1.0000000000000004 light at zero phase.
+        assert _port_probabilities(EvSetup()) == (1.0, 0.0, 0.0)
+        for arm in ARMS:
+            for phase in (0.0, 0.9, -3.0):
+                setup = EvSetup(object_present=True, object_arm=arm, arm_phase=phase)
+                assert _port_probabilities(setup) == (0.25, 0.25, 0.5)
 
 
 class TestApplyElement:

@@ -44,6 +44,14 @@ class TestGratingSpec:
         with pytest.raises(ValueError):
             GratingSpec(-0.1, 0.6, 0.3, 0.2)
 
+    @pytest.mark.parametrize(
+        "parts", [(np.nan, 0.5, 0.5), (0.5, np.nan, 0.5), (0.2, 0.3, 0.5, np.nan)]
+    )
+    def test_nan_probability_rejected(self, parts):
+        # Both comparisons let NaN through, and (nan, 0.5, 0.5) constructed.
+        with pytest.raises(ValueError, match="out of range"):
+            GratingSpec(*parts)
+
     def test_symmetric_helper(self):
         g = GratingSpec.symmetric(0.25)
         assert g.p_minus1 == g.p_0 == g.p_plus1 == 0.25
@@ -85,6 +93,13 @@ class TestDetectorProbability:
     def test_phase_range_enforced(self):
         with pytest.raises(ValueError):
             symmetric_model(third_grating_phase=7.0)
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_arm_extra_phase_must_be_finite(self, phi):
+        # An infinite phase constructed; the detector then read NaN and the
+        # null solver returned phase=nan with perfect=True.
+        with pytest.raises(ValueError, match="^arm_extra_phase must be finite"):
+            symmetric_model(arm_extra_phase=phi)
 
 
 class TestSolveIdealOffset:

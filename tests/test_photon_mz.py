@@ -13,7 +13,6 @@ from ifmsim.photon_mz import (
     ARM_LOWER,
     ARM_UPPER,
     MAX_CYCLES,
-    SPLITTER,
     EvDistribution,
     EvSetup,
     ZenoDistribution,
@@ -21,6 +20,7 @@ from ifmsim.photon_mz import (
     run_ev_trials,
     zeno_ifm_distribution,
 )
+from test_core import SPLITTER
 
 
 def zeno_oracle(n_cycles: int, object_present: bool) -> float:
@@ -297,6 +297,12 @@ class TestZenoVariant:
     def test_zero_cycles_rejected(self):
         with pytest.raises(ValueError):
             zeno_ifm_distribution(0, object_present=True)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4.0)])
+    def test_non_integer_cycles_rejected(self, n):
+        # 2.5 returned a success probability of 0.3466.
+        with pytest.raises(ValueError, match="^n_cycles must be an integer"):
+            zeno_ifm_distribution(n, object_present=True)
 
     def test_max_cycle_count_is_finite(self):
         assert MAX_CYCLES == 2**53

@@ -270,6 +270,12 @@ class TestScanConfigValidation:
     def test_numpy_integer_trials_accepted(self):
         assert scan_config(trials_per_position=np.int64(200)).trials_per_position == 200
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(3.0), "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # -1 and 1.5 constructed, and the scan failed in numpy after its first row.
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            scan_config(seed=seed)
+
     def test_confidence_in_open_interval(self):
         with pytest.raises(ValueError):
             scan_config(confidence_target=1.0)
