@@ -13,9 +13,10 @@ record payload byte for byte; only the metadata block (timestamp, version)
 may differ.
 
 Each scenario is one entry of ``SCENARIO_TABLE``: its parameter spec (keys,
-kinds, ranges, defaults), its subcommand flags, its runner and its summary.
-Validation, the argument parser and the subcommand-to-config mapping all walk
-that table.
+kinds, ranges, defaults), its subcommand flags, its ``prepare``, its runner
+and its summary.  Validation walks the spec (types, ranges, required keys),
+then ``prepare`` fills in the defaults and builds each domain object the run
+needs once, into the plan that ``run_scenario`` runs (see :mod:`runners`).
 
 Exit codes: 0 on success, 2 for configuration/validation errors, 1 for
 runtime failures.
@@ -27,14 +28,24 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from . import __version__, runners
-from .fields import CGS, _check_launch, light_deflection, with_position
-from .photon_mz import ARMS, MAX_CYCLES
-from .protocol import ab_phase, potential_phase
+from .fields import (
+    CGS,
+    BeamGeometry,
+    PointCharge,
+    TestParticle,
+    UniformBRegion,
+    _check_launch,
+    light_deflection,
+    with_position,
+)
+from .matter_mz import GratingSpec, InterferometerModel, ifm_efficiency
+from .photon_mz import ARMS, MAX_CYCLES, EvSetup
+from .protocol import CalibrationSetup, ScanConfig, ab_phase, calibrate, required_trials
 from .records import ResultRecord, make_metadata, record_text, scan_table_text
 
 MAX_SEED = 2**64 - 1
@@ -58,16 +69,17 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario configuration."""
+    """Validated scenario configuration, with the plan that ``config_from_dict`` prepared."""
 
     scenario: str
     seed: int
     parameters: dict
     output_path: str | None = None
+    plan: object = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
-# Validation: one walk over the parameter spec of a scenario
+# Validation: a walk over the scenario's spec, then its plan
 # ---------------------------------------------------------------------------
 
 
@@ -79,9 +91,7 @@ class Param:
     "positions" (decreasing distances) or "block" (an object with its own
     ``fields``).  A ``required`` key must be written whenever its block is;
     ``default`` fills a key left out.  ``low``/``high`` are inclusive bounds,
-    ``above``/``below`` exclusive ones.  A block's ``build`` constructs the
-    domain object once the fields pass; its ValueError (probabilities not
-    summing to 1, the speed bound) is reported at the block's path.
+    ``above``/``below`` exclusive ones.
     """
 
     kind: str
@@ -93,7 +103,6 @@ class Param:
     below: float | None = None
     choices: tuple = ()
     fields: dict | None = None
-    build: Callable | None = None
 
 
 def _finite(value) -> bool:
@@ -166,18 +175,11 @@ def _walk(spec: dict, block: dict, path: str, errors: list[str]) -> None:
             if par.required:
                 errors.append(f"{where}: required key is missing")
             continue
-        value = block[key]
-        problem = _value_error(par, value)
+        problem = _value_error(par, block[key])
         if problem:
             errors.append(f"{where}: {problem}")
         elif par.kind == "block":
-            checked_from = len(errors)
-            _walk(par.fields, value, where, errors)
-            if par.build is not None and len(errors) == checked_from:
-                try:
-                    par.build(value)
-                except ValueError as exc:
-                    errors.append(f"{where}: {exc}")
+            _walk(par.fields, block[key], where, errors)
 
 
 def _filled(spec: dict, block: dict) -> dict:
@@ -228,16 +230,13 @@ def config_from_dict(doc) -> ScenarioConfig:
     for key in sorted(unknown):
         errors.append(f"{key}: unknown top-level key")
     if scenario in SCENARIOS:
-        entry = SCENARIO_TABLE[scenario]
-        checked_from = len(errors)
-        _walk(entry.params, parameters, "parameters", errors)
-        if entry.check is not None and len(errors) == checked_from:
-            errors += entry.check(_filled(entry.params, parameters))
+        _walk(SCENARIO_TABLE[scenario].params, parameters, "parameters", errors)
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        scenario=scenario, seed=seed, parameters=parameters, output_path=output_path
-    )
+    entry = SCENARIO_TABLE[scenario]
+    return ScenarioConfig(scenario=scenario, seed=seed, parameters=parameters,
+                          output_path=output_path,
+                          plan=entry.prepare(_filled(entry.params, parameters), seed))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -251,84 +250,6 @@ def emit_config(config: ScenarioConfig) -> str:
     if config.output_path is not None:
         doc["output_path"] = config.output_path
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _check_gravity(p: dict) -> list[str]:
-    """The two gravity modes: mass with impact_parameter, and/or delta_phi with optional density."""
-    if ("mass" in p) != ("impact_parameter" in p):
-        missing = "mass" if "impact_parameter" in p else "impact_parameter"
-        return [f"parameters.{missing}: required key is missing"]
-    if "mass" not in p and "delta_phi" not in p:
-        return ["parameters: provide mass+impact_parameter and/or delta_phi (with optional density)"]
-    if "density" in p and "delta_phi" not in p:
-        return ["parameters.density: only used with delta_phi, which is missing"]
-    # Each value is a finite float, but the results can still overflow one.
-    errors = []
-    if "mass" in p:
-        deflection = light_deflection(p["mass"], p["impact_parameter"])
-        if not math.isfinite(deflection):
-            errors.append(f"parameters.mass: the deflection 4GM/(b c^2) is {deflection}, "
-                          "not a finite float")
-    if "delta_phi" in p:
-        radius, mass = runners.gravity_sphere(p["delta_phi"],
-                                              p.get("density", runners.IRIDIUM_DENSITY))
-        if not (0.0 < radius < math.inf and math.isfinite(mass)):
-            errors.append(f"parameters.delta_phi: the sphere has radius {radius:g} cm and mass "
-                          f"{mass:g} g; the radius must be positive and finite, the mass finite")
-    return errors
-
-
-def _check_scan(p: dict, magnetic: bool) -> list[str]:
-    """Check the launch, the phases, the source and the trial count before any compute runs."""
-    errors = []
-    particle, cages = p["particle"], p["cages"]
-    q = float(particle["q"])
-    try:
-        _check_launch(float(particle["r0"][0]), float(particle["v0"][0]),
-                      float(p["geometry"]["exit_plane_x"]))
-    except ValueError as exc:
-        errors.append(f"parameters.particle: {exc}")
-    try:
-        potential_phase(q, float(cages["potential_lower"]) - float(cages["potential_upper"]),
-                        float(cages["transit_time"]))
-    except ValueError as exc:
-        errors.append(f"parameters.cages: {exc}")
-    # q/m times the source strength sets the force; past the float range the
-    # path is NaN (and RK4 would run to its step cap).
-    q_m = q / float(particle["m"])
-    if magnetic:
-        try:
-            ab_phase(q, float(p["enclosed_flux"]))
-        except ValueError as exc:
-            errors.append(f"parameters.enclosed_flux: {exc}")
-        try:
-            box = runners.field_region_from(p)
-        except ValueError as exc:
-            errors.append(f"parameters.box_half_widths: {exc}")
-        else:
-            # The rows place the box the same way; a far position can round its extent to 0.
-            geometry = runners.geometry_from(p["geometry"])
-            positions = p["scan"]["positions"]
-            try:
-                for distance in (positions[0], positions[-1]):
-                    with_position(box, geometry.source_position(distance))
-            except ValueError as exc:
-                errors.append(f"parameters.scan.positions: {exc}")
-        gyro = math.hypot(*(q_m / CGS.c * b for b in p["field_vector"]))
-        if not math.isfinite(gyro):
-            errors.append(f"parameters.field_vector: the gyrofrequency |q B|/(m c) is {gyro}, "
-                          "not a finite float")
-    elif not math.isfinite(k := q_m * p["source_charge"]):
-        errors.append(f"parameters.source_charge: q Q / m is {k}, not a finite float")
-    if "trials_per_position" not in p["scan"]:
-        try:
-            trials = runners.scan_trials(p)
-        except ValueError as exc:
-            return errors + [f"parameters.scan.trials_per_position: cannot derive a count: {exc}"]
-        if trials > MAX_TRIALS:
-            errors.append(f"parameters.scan.trials_per_position: {trials} derived from the "
-                          f"gratings and confidence_target, over the cap of {MAX_TRIALS}")
-    return errors
 
 
 class Flag:
@@ -352,9 +273,9 @@ class Scenario:
     help: str
     params: dict
     flags: tuple
-    run: Callable  # (filled parameters, seed) -> payload body (parameters, results)
+    prepare: Callable  # (filled parameters, seed) -> plan; raises ConfigError
+    run: Callable  # plan -> payload body (parameters, results)
     summary: Callable  # payload results -> lines
-    check: Callable | None = None  # (filled parameters) -> errors, once every key passed
 
 
 _GRATING = {
@@ -363,8 +284,7 @@ _GRATING = {
     "p_plus1": Param("number", 1.0 / 3.0, required=True, low=0.0, high=1.0),
     "loss": Param("number", 0.0, low=0.0, high=1.0),
 }
-_GRATINGS = {name: Param("block", fields=_GRATING, build=runners.grating_from)
-             for name in ("g1", "g2", "g3")}
+_GRATINGS = {name: Param("block", fields=_GRATING) for name in ("g1", "g2", "g3")}
 
 # The electron-beam demo setup that unlisted scan parameters fall back to.
 _PARTICLE = {
@@ -396,12 +316,157 @@ def _scan_params(source: dict, positions: list[float], phi_c: float) -> dict:
     }
     return {
         **source,
-        "particle": Param("block", fields=_PARTICLE, build=runners.particle_from),
-        "geometry": Param("block", fields=_GEOMETRY, build=runners.geometry_from),
+        "particle": Param("block", fields=_PARTICLE),
+        "geometry": Param("block", fields=_GEOMETRY),
         "scan": Param("block", fields=scan),
         "cages": Param("block", fields=_CAGES),
         "gratings": Param("block", fields=_GRATINGS),
     }
+
+
+class _Errors(list):
+    """The error lines of one plan; ``check`` raises them as a ConfigError."""
+
+    def at(self, path: str, build: Callable, *args):
+        """``build(*args)``, or None once its ValueError is recorded as ``path: message``."""
+        try:
+            return build(*args)
+        except ValueError as exc:
+            self.append(f"{path}: {exc}")
+            return None
+
+    def finite(self, path: str, name: str, value: float) -> None:
+        if not math.isfinite(value):
+            self.append(f"{path}: {name} is {value}, not a finite float")
+
+    def check(self) -> None:
+        if self:
+            raise ConfigError(self)
+
+
+def _prepare_ev(p: dict, seed: int) -> runners.EvPlan:
+    # The walk has checked each rule of EvSetup at its key.
+    setup = EvSetup(p["object_present"], p["object_arm"], float(p["arm_phase"]))
+    return runners.EvPlan(setup, p["trials"], seed)
+
+
+def _grating_specs(block: dict, path: str, errors: _Errors) -> dict:
+    """g1, g2 and g3 of ``block``, each built under ``path.gN``."""
+    return {name: errors.at(f"{path}.{name}", GratingSpec,
+                            *(float(block[name][key]) for key in _GRATING))
+            for name in ("g1", "g2", "g3")}
+
+
+def _prepare_null(p: dict, seed: int) -> InterferometerModel:
+    errors = _Errors()
+    g = _grating_specs(p, "parameters", errors)
+    errors.check()
+    return InterferometerModel(**g, arm_extra_phase=float(p["arm_extra_phase"]))
+
+
+def _derived_trials(efficiency: float, confidence: float) -> int:
+    try:
+        trials = required_trials(efficiency, confidence)
+    except ValueError as exc:
+        raise ValueError(f"cannot derive a count: {exc}") from exc
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} derived from the gratings and confidence_target, "
+                         f"over the cap of {MAX_TRIALS}")
+    return trials
+
+
+def _prepare_scan(p: dict, seed: int, magnetic: bool) -> runners.ScanPlan:
+    """Particle, geometry, gratings, source, calibration and schedule of a field scan."""
+    errors = _Errors()
+    part, geom, cages, scan = p["particle"], p["geometry"], p["cages"], p["scan"]
+    exit_plane_x = float(geom["exit_plane_x"])
+    particle = errors.at("parameters.particle", TestParticle, float(part["q"]),
+                         float(part["m"]), part["r0"], part["v0"])
+    errors.at("parameters.particle", _check_launch, float(part["r0"][0]), float(part["v0"][0]),
+              exit_plane_x)
+    geometry = errors.at("parameters.geometry", BeamGeometry, exit_plane_x,
+                         geom["source_anchor"], geom["approach_direction"])
+    g = _grating_specs(p["gratings"], "parameters.gratings", errors)
+    errors.check()
+
+    # q/m times the source strength sets the force; past the float range the
+    # path is NaN (and RK4 would run to its step cap).
+    q_m = particle.q / particle.m
+    flux = 0.0
+    if magnetic:
+        flux = float(p["enclosed_flux"])
+        if errors.at("parameters.enclosed_flux", ab_phase, particle.q, flux) is None:
+            flux = 0.0  # reported; so calibrate below checks the cages' phase alone
+        half = [float(h) for h in p["box_half_widths"]]
+        anchor = geometry.source_anchor
+        template = errors.at("parameters.box_half_widths", UniformBRegion, p["field_vector"],
+                             anchor - half, anchor + half)
+        # The rows place the box the same way; a far position can round its extent to 0.
+        for distance in (scan["positions"][0], scan["positions"][-1]):
+            if template is None or errors.at("parameters.scan.positions", with_position,
+                                             template, geometry.source_position(distance)) is None:
+                break
+        errors.finite("parameters.field_vector", "the gyrofrequency |q B|/(m c)",
+                      math.hypot(*(q_m / CGS.c * b for b in p["field_vector"])))
+        source = {"field_vector": [float(b) for b in p["field_vector"]],
+                  "box_half_widths": half, "enclosed_flux": flux}
+    else:
+        template = PointCharge(float(p["source_charge"]), geom["source_anchor"])
+        errors.finite("parameters.source_charge", "q Q / m", q_m * p["source_charge"])
+        source = {"source_charge": template.q}
+    setup = CalibrationSetup(float(cages["transit_time"]), float(cages["potential_upper"]),
+                             float(cages["potential_lower"]), flux)
+    # With a finite flux phase, only the cages' potential phase can fail.
+    calibration = errors.at("parameters.cages", calibrate, InterferometerModel(**g), setup,
+                            particle.q)
+    efficiency = ifm_efficiency(g["g1"], g["g2"])
+    trials = scan.get("trials_per_position")
+    if trials is None:
+        trials = errors.at("parameters.scan.trials_per_position", _derived_trials, efficiency,
+                           float(scan["confidence_target"]))
+    errors.check()
+
+    config = ScanConfig(tuple(scan["positions"]), trials, float(scan["confidence_target"]),
+                        float(scan["phi_c"]), seed, geometry, float(scan["dt"]))
+    echo = {
+        **source,
+        "particle": part,
+        "geometry": geom,
+        "cages": cages,
+        "gratings": {name: asdict(spec) for name, spec in g.items()},
+        "scan": {
+            "positions": list(config.positions),
+            "trials_per_position": trials,
+            "confidence_target": config.confidence_target,
+            "phi_c": config.phi_c,
+            "dt": config.dt,
+        },
+    }
+    return runners.ScanPlan(particle, template, calibration, efficiency, config, echo)
+
+
+def _prepare_gravity(p: dict, seed: int) -> runners.GravityPlan:
+    """The two gravity modes: mass with impact_parameter, and/or delta_phi with optional density."""
+    if ("mass" in p) != ("impact_parameter" in p):
+        missing = "mass" if "impact_parameter" in p else "impact_parameter"
+        raise ConfigError([f"parameters.{missing}: required key is missing"])
+    if "mass" not in p and "delta_phi" not in p:
+        raise ConfigError(
+            ["parameters: provide mass+impact_parameter and/or delta_phi (with optional density)"])
+    if "density" in p and "delta_phi" not in p:
+        raise ConfigError(["parameters.density: only used with delta_phi, which is missing"])
+    # Each value is a finite float, but the results can still overflow one.
+    errors = _Errors()
+    mass = b = delta_phi = density = None
+    if "mass" in p:
+        mass, b = float(p["mass"]), float(p["impact_parameter"])
+        errors.finite("parameters.mass", "the deflection 4GM/(b c^2)", light_deflection(mass, b))
+    if "delta_phi" in p:
+        delta_phi = float(p["delta_phi"])
+        density = float(p.get("density", runners.IRIDIUM_DENSITY))
+        errors.at("parameters.delta_phi", runners.gravity_sphere, delta_phi, density)
+    errors.check()
+    return runners.GravityPlan(mass, b, delta_phi, density)
 
 
 def _positions_list(text: str):
@@ -418,10 +483,8 @@ def _symmetric_gratings(p: float) -> dict:
 
 
 def _cage_potentials(dv: float) -> dict:
-    """The default cages with the lower one at ``dv``; 0 leaves the cages unset."""
-    if not dv:
-        return {}
-    return {"cages": {**{key: par.default for key, par in _CAGES.items()}, "potential_lower": dv}}
+    """The lower cage at ``dv``; 0 leaves the cages unset."""
+    return {"cages": {"potential_lower": dv}} if dv else {}
 
 
 _OBJECT_PRESENT = Flag("--object-present", "object_present",
@@ -450,6 +513,7 @@ SCENARIO_TABLE = {
             Flag("--arm-phase", "arm_phase", type=float, default=0.0),
             Flag("--trials", "trials", type=int, default=100_000),
         ),
+        prepare=_prepare_ev,
         run=runners.ev_bomb,
         summary=runners.ev_bomb_summary,
     ),
@@ -460,6 +524,7 @@ SCENARIO_TABLE = {
             "object_present": Param("bool", required=True),
         },
         flags=(Flag("--cycles", "n_cycles", type=int, required=True), _OBJECT_PRESENT),
+        prepare=lambda p, seed: runners.ZenoPlan(p["n_cycles"], p["object_present"]),
         run=runners.zeno,
         summary=runners.zeno_summary,
     ),
@@ -471,6 +536,7 @@ SCENARIO_TABLE = {
                  help="per-order probability of the symmetric gratings"),
             Flag("--arm-extra-phase", "arm_extra_phase", type=float, default=0.0),
         ),
+        prepare=_prepare_null,
         run=runners.matter_null,
         summary=runners.matter_null_summary,
     ),
@@ -484,9 +550,9 @@ SCENARIO_TABLE = {
             Flag("--cage-dv", _cage_potentials, type=float, default=0.0,
                  help="cage potential difference lower-upper (statV)"),
         ),
-        run=lambda p, seed: runners.field_scan(p, seed, magnetic=False),
+        prepare=lambda p, seed: _prepare_scan(p, seed, magnetic=False),
+        run=runners.field_scan,
         summary=runners.field_scan_summary,
-        check=lambda p: _check_scan(p, magnetic=False),
     ),
     "field_scan_magnetic": Scenario(
         help="scan a uniform-field region toward the beam",
@@ -504,9 +570,9 @@ SCENARIO_TABLE = {
             Flag("--enclosed-flux", "enclosed_flux", type=float, default=0.0, help="gauss*cm^2"),
             *_SCAN_FLAGS,
         ),
-        run=lambda p, seed: runners.field_scan(p, seed, magnetic=True),
+        prepare=lambda p, seed: _prepare_scan(p, seed, magnetic=True),
+        run=runners.field_scan,
         summary=runners.field_scan_summary,
-        check=lambda p: _check_scan(p, magnetic=True),
     ),
     "gravity_deflection": Scenario(
         help="light bending by a mass",
@@ -514,7 +580,7 @@ SCENARIO_TABLE = {
             "mass": Param("number", low=0.0),
             "impact_parameter": Param("number", above=0.0),
             "delta_phi": Param("number", above=0.0),
-            # No spec default, so _check_gravity sees whether density was written.
+            # No spec default, so _prepare_gravity sees whether density was written.
             "density": Param("number", above=0.0),
         },
         flags=(
@@ -524,9 +590,9 @@ SCENARIO_TABLE = {
                  help="desired grazing deflection (rad)"),
             Flag("--density", "density", type=float, help="sphere density (g/cm^3)"),
         ),
+        prepare=_prepare_gravity,
         run=runners.gravity_deflection,
         summary=runners.gravity_summary,
-        check=_check_gravity,
     ),
 }
 
@@ -534,9 +600,8 @@ SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 def run_scenario(config: ScenarioConfig) -> ResultRecord:
-    """Dispatch a validated configuration and build its result record."""
-    entry = SCENARIO_TABLE[config.scenario]
-    body = entry.run(_filled(entry.params, config.parameters), config.seed)
+    """Run a configuration's prepared plan and build its result record."""
+    body = SCENARIO_TABLE[config.scenario].run(config.plan)
     payload = {"scenario": config.scenario, "seed": config.seed, **body}
     return ResultRecord(metadata=make_metadata("ifmsim", __version__), payload=payload)
 
@@ -620,10 +685,12 @@ def _config_from_namespace(ns: argparse.Namespace) -> ScenarioConfig:
             doc["seed"] = ns.seed
         # ``--trials`` lands where the scenario's own ``--trials`` flag puts it.
         scenario = doc.get("scenario")
-        flags = SCENARIO_TABLE[scenario].flags if scenario in SCENARIOS else ()
-        trials = [flag for flag in flags if flag.option == "--trials"]
-        if ns.trials is not None and trials and isinstance(doc.get("parameters"), dict):
-            _merge(doc["parameters"], trials[0].fragment(ns.trials))
+        if ns.trials is not None and scenario in SCENARIOS:
+            trials = [flag for flag in SCENARIO_TABLE[scenario].flags if flag.option == "--trials"]
+            if not trials:
+                raise ConfigError([f"--trials: scenario '{scenario}' takes no trial count"])
+            if isinstance(doc.get("parameters"), dict):
+                _merge(doc["parameters"], trials[0].fragment(ns.trials))
     else:
         scenario = ns.command.replace("-", "_")
         params: dict = {}

@@ -72,6 +72,8 @@ class EvSetup:
     arm_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.object_present, bool):  # "false" and 0 are not
+            raise ValueError(f"object_present must be a bool, got {self.object_present!r}")
         if self.object_arm not in ARMS:
             raise ValueError(f"object_arm must be one of {ARMS}, got {self.object_arm!r}")
         if not math.isfinite(self.arm_phase):
@@ -193,6 +195,8 @@ def zeno_ifm_distribution(n_cycles: int, object_present: bool) -> ZenoDistributi
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError("n_cycles must lie in [1, 2**53]")
     _require_count(n_cycles, "n_cycles")
+    if not isinstance(object_present, bool):
+        raise ValueError(f"object_present must be a bool, got {object_present!r}")
     if not object_present:
         return ZenoDistribution(p_success_detect=0.0, p_absorbed=0.0, p_inconclusive=1.0)
     s = math.sin(math.pi / (4.0 * n_cycles))

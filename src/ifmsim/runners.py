@@ -1,33 +1,27 @@
-"""Scenario runners: from validated, default-filled parameters and a seed to a payload.
+"""Scenario runners: from a prepared plan to a payload body.
 
-Each runner returns the payload body: the ``parameters`` the payload echoes
-and the ``results``, where a scan keeps its per-position rows under
-``per_position``.  The parameter blocks are the CLI's, with every left-out
-key already at its default (see ``cli.SCENARIO_TABLE``); only the gravity
-``density`` defaults here, to ``IRIDIUM_DENSITY``.  Each ``*_summary`` turns
-a payload's results into the lines printed after a run.
+``cli`` checks a configuration against its scenario's spec, then builds
+once every domain object the run needs: the plan, a frozen dataclass below
+(for ``matter_null``, the :class:`InterferometerModel`).  A runner only
+computes from its plan and echoes it.  It returns the payload body: the
+``parameters`` the payload echoes and the ``results``, where a scan keeps its
+per-position rows under ``per_position``.  Each ``*_summary`` turns a
+payload's results into the lines printed after a run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    BeamGeometry,
-    PointCharge,
-    TestParticle,
-    UniformBRegion,
-    light_deflection,
-    sphere_radius_for_deflection,
-)
+from .fields import FieldSource, TestParticle, light_deflection, sphere_radius_for_deflection
 from .matter_mz import (
     BLOCK_LOWER,
     BLOCK_UPPER,
     NO_BLOCKS,
-    GratingSpec,
     InterferometerModel,
     PathBlockSet,
     detector_probability,
@@ -35,7 +29,7 @@ from .matter_mz import (
     solve_ideal_offset,
 )
 from .photon_mz import EvSetup, ev_outcome_distribution, run_ev_trials, zeno_ifm_distribution
-from .protocol import CalibrationSetup, ScanConfig, calibrate, required_trials, run_field_scan
+from .protocol import CalibrationResult, ScanConfig, run_field_scan
 
 # Commonly quoted sphere radius (km) for the 1e-9 rad grazing-deflection
 # iridium case.  The record reports it next to the independently computed
@@ -48,55 +42,49 @@ IRIDIUM_DENSITY = 22.6  # g/cm^3
 _RENAMED = ("distance", "deflection_angle")
 
 
-def particle_from(block: dict) -> TestParticle:
-    return TestParticle(q=float(block["q"]), m=float(block["m"]), r0=block["r0"], v0=block["v0"])
+@dataclass(frozen=True, eq=False)
+class EvPlan:
+    setup: EvSetup
+    trials: int
+    seed: int
 
 
-def geometry_from(block: dict) -> BeamGeometry:
-    return BeamGeometry(float(block["exit_plane_x"]), block["source_anchor"],
-                        block["approach_direction"])
+@dataclass(frozen=True, eq=False)
+class ZenoPlan:
+    n_cycles: int
+    object_present: bool
 
 
-def grating_from(block: dict) -> GratingSpec:
-    return GratingSpec(
-        p_minus1=float(block["p_minus1"]),
-        p_0=float(block["p_0"]),
-        p_plus1=float(block["p_plus1"]),
-        loss=float(block.get("loss", 0.0)),
-    )
+@dataclass(frozen=True, eq=False)
+class ScanPlan:
+    """A field scan on its calibrated interferometer.
+
+    ``parameters`` is the payload's echo: the particle, geometry and cages
+    blocks as written (an integer stays an integer), everything else as used.
+    """
+
+    particle: TestParticle
+    template: FieldSource
+    calibration: CalibrationResult
+    efficiency: float
+    scan: ScanConfig
+    parameters: dict
 
 
-def _gratings(block: dict) -> dict[str, GratingSpec]:
-    return {name: grating_from(block[name]) for name in ("g1", "g2", "g3")}
+@dataclass(frozen=True, eq=False)
+class GravityPlan:
+    """Mass with impact parameter, and/or a target deflection with its density; None if unset."""
+
+    mass: float | None
+    impact_parameter: float | None
+    delta_phi: float | None
+    density: float | None
 
 
-def field_region_from(p: dict) -> UniformBRegion:
-    """The magnetic scan's field box, centred on the geometry's source anchor."""
-    half = np.asarray(p["box_half_widths"], float)
-    anchor = np.asarray(p["geometry"]["source_anchor"], float)
-    return UniformBRegion(B=p["field_vector"], box_min=anchor - half, box_max=anchor + half)
-
-
-def scan_trials(p: dict) -> int:
-    """Explicit trials per position, or the count that reaches the confidence target."""
-    trials = p["scan"].get("trials_per_position")
-    if trials is None:
-        g = _gratings(p["gratings"])
-        trials = required_trials(ifm_efficiency(g["g1"], g["g2"]),
-                                 float(p["scan"]["confidence_target"]))
-    return int(trials)
-
-
-def ev_bomb(p: dict, seed: int) -> dict:
-    setup = EvSetup(
-        object_present=p["object_present"],
-        object_arm=p["object_arm"],
-        arm_phase=float(p["arm_phase"]),
-    )
-    trials = p["trials"]
-    dist = ev_outcome_distribution(setup)
-    counts = run_ev_trials(setup, trials, np.random.default_rng(seed))
-    resolved = {**dataclasses.asdict(setup), "trials": trials}
+def ev_bomb(plan: EvPlan) -> dict:
+    dist = ev_outcome_distribution(plan.setup)
+    counts = run_ev_trials(plan.setup, plan.trials, np.random.default_rng(plan.seed))
+    resolved = {**dataclasses.asdict(plan.setup), "trials": plan.trials}
     results = {
         "analytic": {
             "light": dist.p_light_detector,
@@ -104,23 +92,20 @@ def ev_bomb(p: dict, seed: int) -> dict:
             "absorbed": dist.p_absorbed,
         },
         "counts": counts,
-        "frequencies": {k: v / trials for k, v in counts.items()},
+        "frequencies": {k: v / plan.trials for k, v in counts.items()},
     }
     return {"parameters": resolved, "results": results}
 
 
-def zeno(p: dict, seed: int) -> dict:
-    dist = zeno_ifm_distribution(p["n_cycles"], p["object_present"])
-    resolved = {"n_cycles": p["n_cycles"], "object_present": p["object_present"]}
-    return {"parameters": resolved, "results": dataclasses.asdict(dist)}
+def zeno(plan: ZenoPlan) -> dict:
+    dist = zeno_ifm_distribution(plan.n_cycles, plan.object_present)
+    return {"parameters": dataclasses.asdict(plan), "results": dataclasses.asdict(dist)}
 
 
-def matter_null(p: dict, seed: int) -> dict:
-    g = _gratings(p)
-    model = InterferometerModel(**g, arm_extra_phase=float(p["arm_extra_phase"]))
+def matter_null(model: InterferometerModel) -> dict:
     null = solve_ideal_offset(model)
     tuned = dataclasses.replace(model, third_grating_phase=null.phase)
-    resolved = {name: dataclasses.asdict(spec) for name, spec in g.items()}
+    resolved = {name: dataclasses.asdict(getattr(model, name)) for name in ("g1", "g2", "g3")}
     resolved["arm_extra_phase"] = model.arm_extra_phase
     results = {
         "null_phase": null.phase,
@@ -130,70 +115,15 @@ def matter_null(p: dict, seed: int) -> dict:
         "probability_upper_blocked": detector_probability(tuned, BLOCK_UPPER),
         "probability_lower_blocked": detector_probability(tuned, BLOCK_LOWER),
         "probability_both_blocked": detector_probability(tuned, PathBlockSet.of("upper", "lower")),
-        "efficiency": ifm_efficiency(g["g1"], g["g2"]),
+        "efficiency": ifm_efficiency(model.g1, model.g2),
     }
     return {"parameters": resolved, "results": results}
 
 
-def field_scan(p: dict, seed: int, magnetic: bool) -> dict:
-    """Calibrate on the cages, then scan a point charge or a uniform-B box toward the beam.
-
-    The particle, geometry and cages blocks are echoed as written (an
-    integer stays an integer); everything else is echoed as used.
-    """
-    geom, cages, scan = p["geometry"], p["cages"], p["scan"]
-    particle = particle_from(p["particle"])
-    geometry = geometry_from(geom)
-    g = _gratings(p["gratings"])
-    model = InterferometerModel(**g)
-
-    if magnetic:
-        template = field_region_from(p)
-        enclosed_flux = float(p["enclosed_flux"])
-        source = {
-            "field_vector": [float(b) for b in p["field_vector"]],
-            "box_half_widths": [float(h) for h in p["box_half_widths"]],
-            "enclosed_flux": enclosed_flux,
-        }
-    else:
-        template = PointCharge(q=float(p["source_charge"]), position=geom["source_anchor"])
-        enclosed_flux = 0.0
-        source = {"source_charge": float(p["source_charge"])}
-
-    setup = CalibrationSetup(
-        transit_time=float(cages["transit_time"]),
-        cage_potential_upper=float(cages["potential_upper"]),
-        cage_potential_lower=float(cages["potential_lower"]),
-        enclosed_flux=enclosed_flux,
-    )
-    calibration = calibrate(model, setup, particle.q)
-
-    efficiency = ifm_efficiency(g["g1"], g["g2"])
-    scan_config = ScanConfig(
-        positions=tuple(scan["positions"]),
-        trials_per_position=scan_trials(p),
-        confidence_target=float(scan["confidence_target"]),
-        phi_c=float(scan["phi_c"]),
-        seed=seed,
-        geometry=geometry,
-        dt=float(scan["dt"]),
-    )
-    result = run_field_scan(calibration.model, template, particle, scan_config)
-
-    resolved = {
-        **source,
-        "particle": p["particle"],
-        "geometry": geom,
-        "cages": cages,
-        "gratings": {name: dataclasses.asdict(spec) for name, spec in g.items()},
-        "scan": {
-            "positions": list(scan_config.positions),
-            "trials_per_position": scan_config.trials_per_position,
-            "confidence_target": scan_config.confidence_target,
-            "phi_c": scan_config.phi_c,
-            "dt": scan_config.dt,
-        },
-    }
+def field_scan(plan: ScanPlan) -> dict:
+    """Scan a point charge or a uniform-B box toward the beam on the calibrated model."""
+    calibration = plan.calibration
+    result = run_field_scan(calibration.model, plan.template, plan.particle, plan.scan)
     results = {
         "calibration": {
             "arm_extra_phase": calibration.model.arm_extra_phase,
@@ -201,7 +131,7 @@ def field_scan(p: dict, seed: int, magnetic: bool) -> dict:
             "residual": calibration.null.residual,
             "perfect": calibration.null.perfect,
         },
-        "efficiency": efficiency,
+        "efficiency": plan.efficiency,
         "scan": {
             "conclusive": result.conclusive,
             "first_detecting_position": result.first_detecting_position,
@@ -216,36 +146,34 @@ def field_scan(p: dict, seed: int, magnetic: bool) -> dict:
             for i, rec in enumerate(result.per_position)
         ],
     }
-    return {"parameters": resolved, "results": results}
+    return {"parameters": plan.parameters, "results": results}
 
 
 def gravity_sphere(delta_phi: float, density: float) -> tuple[float, float]:
     """Radius (cm) and mass (g) of the sphere whose grazing rays bend by ``delta_phi``.
 
-    The mass is inf where R^3 overflows a float.
+    Raises ``ValueError`` unless the radius is positive and finite and the mass finite.
     """
-    radius_cm = sphere_radius_for_deflection(delta_phi, density)
+    radius = sphere_radius_for_deflection(delta_phi, density)
     try:
-        return radius_cm, 4.0 / 3.0 * np.pi * radius_cm**3 * density
+        mass = 4.0 / 3.0 * np.pi * radius**3 * density
     except OverflowError:
-        return radius_cm, math.inf
+        mass = math.inf
+    if not (0.0 < radius < math.inf and math.isfinite(mass)):
+        raise ValueError(f"the sphere has radius {radius:g} cm and mass {mass:g} g; "
+                         "the radius must be positive and finite, the mass finite")
+    return radius, mass
 
 
-def gravity_deflection(p: dict, seed: int) -> dict:
+def gravity_deflection(plan: GravityPlan) -> dict:
     """Light bending by a mass at an impact parameter and/or the sphere for a target deflection."""
-    resolved: dict = {}
+    resolved = {key: value for key, value in dataclasses.asdict(plan).items() if value is not None}
     results: dict = {}
-    if "mass" in p:
-        mass = float(p["mass"])
-        b = float(p["impact_parameter"])
-        resolved.update({"mass": mass, "impact_parameter": b})
-        results["deflection_rad"] = light_deflection(mass, b)
-    if "delta_phi" in p:
-        delta_phi = float(p["delta_phi"])
-        density = float(p.get("density", IRIDIUM_DENSITY))
-        radius_cm, sphere_mass = gravity_sphere(delta_phi, density)
+    if plan.mass is not None:
+        results["deflection_rad"] = light_deflection(plan.mass, plan.impact_parameter)
+    if plan.delta_phi is not None:
+        radius_cm, sphere_mass = gravity_sphere(plan.delta_phi, plan.density)
         radius_km = radius_cm / 1.0e5
-        resolved.update({"delta_phi": delta_phi, "density": density})
         results["sphere"] = {
             "radius_cm": radius_cm,
             "radius_km": radius_km,

@@ -6,12 +6,13 @@ import re
 import shlex
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifmsim import cli
+from ifmsim import cli, fields, matter_mz, photon_mz, protocol
 from ifmsim.cli import (
     ConfigError,
     ScenarioConfig,
@@ -231,6 +232,28 @@ class TestRunScenario:
 ELECTRON = {"q": -4.8e-10, "m": 9.11e-28, "r0": [-0.5, 0.0, 0.0], "v0": [1e9, 0.0, 0.0]}
 
 
+def count_calls(monkeypatch, calls: Counter, func) -> None:
+    """Count calls of ``func`` under its name, through every ``ifmsim`` module that binds it."""
+    def counted(*args, **kwargs):
+        calls[func.__name__] += 1
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ifmsim" or name.startswith("ifmsim."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.fixture
+def compute_calls(monkeypatch) -> Counter:
+    """Calls of the two sampling loops; an exit-2 case must leave it empty."""
+    calls: Counter = Counter()
+    count_calls(monkeypatch, calls, protocol.run_field_scan)
+    count_calls(monkeypatch, calls, photon_mz.run_ev_trials)
+    return calls
+
+
 class TestMainExitCodes:
     def test_success_and_outputs(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
@@ -423,13 +446,15 @@ class TestMainExitCodes:
              "parameters.g2"),
         ],
     )
-    def test_domain_rules_exit_2(self, scenario, parameters, field, tmp_path, capsys):
+    def test_domain_rules_exit_2(self, scenario, parameters, field, tmp_path, capsys,
+                                 compute_calls):
         # |v0| at 0.01c, a flat field box and probabilities summing to 1.5 pass
         # the type checks; the domain objects reject them before any compute.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": scenario, "seed": 1, "parameters": parameters}))
         assert main(["run", str(cfg)]) == 2
         assert f"{field}: " in capsys.readouterr().err
+        assert not compute_calls
 
     @pytest.mark.parametrize(
         "scenario, source",
@@ -451,7 +476,7 @@ class TestMainExitCodes:
         ids=["plane-behind", "moving-away", "moving-sideways", "no-approach-direction"],
     )
     def test_bad_launch_and_geometry_exit_2(self, scenario, source, parameters, field,
-                                            tmp_path, capsys):
+                                            tmp_path, capsys, compute_calls):
         # Each of these exited 1 after calibration had run.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": scenario, "seed": 1,
@@ -460,6 +485,7 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert err.startswith(f"configuration errors:\n  {field}: ")
         assert out == ""
+        assert not compute_calls
 
     @pytest.mark.parametrize(
         "scenario, parameters, code, message",
@@ -498,7 +524,7 @@ class TestMainExitCodes:
         ids=["cage-potential", "enclosed-flux"],
     )
     def test_calibration_phase_overflow_exits_2(self, scenario, parameters, field, tmp_path,
-                                                capsys):
+                                                capsys, compute_calls):
         # Each exited 1 after calibration: "third_grating_phase must lie in [0, 2*pi)".
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": scenario, "seed": 1, "parameters": parameters}))
@@ -509,6 +535,7 @@ class TestMainExitCodes:
         assert err.startswith(f"configuration errors:\n  {field}: the ")
         assert "not a finite float" in err
         assert out == ""
+        assert not compute_calls
 
     def test_far_magnetic_position_exits_2(self, tmp_path, capsys):
         # The box moved to 1e200 cm rounds to zero extent: it exited 1 after calibration.
@@ -600,13 +627,25 @@ class TestMainExitCodes:
               "parameters.object_present: required key is missing"]),
         ],
     )
-    def test_config_errors_are_listed_exactly(self, doc, lines, tmp_path, capsys):
+    def test_config_errors_are_listed_exactly(self, doc, lines, tmp_path, capsys,
+                                              compute_calls):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "configuration errors:\n" + "".join(f"  {ln}\n" for ln in lines)
         assert captured.out == ""
+        assert not compute_calls
+
+    @pytest.mark.parametrize("scenario", ["zeno", "matter_null", "gravity_deflection"])
+    def test_run_trials_needs_a_trial_count(self, scenario, tmp_path, capsys):
+        # --trials was ignored for these scenarios, and the run exited 0.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "seed": 7,
+                                   "parameters": PIN_RUN_PARAMETERS[scenario]}))
+        assert main(["run", str(cfg), "--trials", "500"]) == 2
+        assert capsys.readouterr() == (
+            "", f"configuration errors:\n  --trials: scenario '{scenario}' takes no trial count\n")
 
     def test_overlong_int_literal_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -619,6 +658,67 @@ class TestMainExitCodes:
         expected = ("config: invalid JSON" if hasattr(sys, "get_int_max_str_digits")
                     else "parameters.arm_phase: ")
         assert expected in capsys.readouterr().err
+
+
+# Every key of a magnetic scan written out, but for trials_per_position, which
+# the gratings and confidence_target then derive.  The three gratings differ.
+WRITTEN_MAGNETIC_SCAN = {
+    "field_vector": [0.0, 0.0, 1e-3],
+    "box_half_widths": [0.2, 0.08, 0.2],
+    "enclosed_flux": 1e-7,
+    "particle": {**ELECTRON, "v0": [1e8, 0.0, 0.0]},
+    "geometry": {"exit_plane_x": 0.5, "source_anchor": [0.0, 0.0, 0.0],
+                 "approach_direction": [0.0, 1.0, 0.0]},
+    "cages": {"transit_time": 1e-8, "potential_upper": 0.0, "potential_lower": 0.0},
+    "gratings": {"g1": {"p_minus1": 1 / 3, "p_0": 1 / 3, "p_plus1": 1 / 3, "loss": 0.0},
+                 "g2": {"p_minus1": 0.3, "p_0": 0.3, "p_plus1": 0.3, "loss": 0.1},
+                 "g3": {"p_minus1": 0.2, "p_0": 0.2, "p_plus1": 0.2, "loss": 0.4}},
+    "scan": {"positions": [0.30, 0.22, 0.15, 0.10, 0.06], "confidence_target": 0.999,
+             "phi_c": 1e-5, "dt": 1e-11},
+}
+
+
+@pytest.mark.parametrize("route", ["run-written-magnetic", "bare-electric"])
+def test_each_domain_object_is_built_once(route, tmp_path, capsys, monkeypatch):
+    # One run used to build the particle 2x, the geometry 3x, each grating
+    # 4x, the field box template 2x and call required_trials 2x.
+    builds: Counter = Counter()
+
+    def count_builds(cls, key):
+        original = cls.__post_init__
+
+        def counted(self):
+            original(self)
+            if (name := key(self)) is not None:
+                builds[name] += 1
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    # A source template sits on the anchor (0, 0, 0); rows and placement checks do not.
+    count_builds(fields.TestParticle, lambda _: "particle")
+    count_builds(fields.BeamGeometry, lambda _: "geometry")
+    count_builds(matter_mz.GratingSpec, lambda g: ("grating", g.p_minus1, g.p_0, g.p_plus1, g.loss))
+    count_builds(fields.UniformBRegion,
+                 lambda box: "template" if not any((box.box_min + box.box_max).tolist()) else None)
+    count_builds(fields.PointCharge,
+                 lambda charge: "template" if not any(charge.position.tolist()) else None)
+    count_calls(monkeypatch, builds, protocol.required_trials)
+    count_calls(monkeypatch, builds, matter_mz.ifm_efficiency)
+
+    if route == "bare-electric":
+        argv = ["field-scan-electric", "--source-charge", "5e-6"]
+        gratings = {("grating", 1 / 3, 1 / 3, 1 / 3, 0.0): 3}  # the three default gratings
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "field_scan_magnetic", "seed": 3,
+                                   "parameters": WRITTEN_MAGNETIC_SCAN}))
+        argv = ["run", str(cfg)]
+        gratings = {("grating", *g.values()): 1
+                    for g in WRITTEN_MAGNETIC_SCAN["gratings"].values()}
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert builds == Counter({"particle": 1, "geometry": 1, "template": 1,
+                              "required_trials": 1, "ifm_efficiency": 1, **gratings})
 
 
 # Gratings whose interaction-free efficiency is p1 * p2 = 1e-12.
@@ -735,7 +835,8 @@ def test_readme_commands_run(argv, tmp_path):
 PIN_SEEDS = (1, 7, 42)
 
 # Each scenario once through its subcommand and once through ``run``; the
-# ``run-trials`` cases add ``run --trials``, which only some scenarios take.
+# ``run-trials`` cases add ``run --trials`` for each scenario that takes a
+# trial count (the others exit 2: test_run_trials_needs_a_trial_count).
 PIN_SUBCOMMANDS = {
     "ev_bomb": ["ev-bomb", "--object-arm", "lower", "--arm-phase", "0.3", "--trials", "20000"],
     "zeno": ["zeno", "--cycles", "64"],
@@ -788,7 +889,7 @@ def _pin_cases():
             yield f"{scenario}/subcommand/{seed}"
             yield f"{scenario}/run/{seed}"
     yield "field_scan_electric/integers/7"
-    for scenario in ("ev_bomb", "field_scan_electric", "field_scan_magnetic", "zeno"):
+    for scenario in ("ev_bomb", "field_scan_electric", "field_scan_magnetic"):
         yield f"{scenario}/run-trials/7"
 
 
@@ -847,7 +948,6 @@ PINNED_FINGERPRINTS = {
     "ev_bomb/run-trials/7": ("7865342c57066adc", None),
     "field_scan_electric/run-trials/7": ("45284fd45e7fb8a1", "21f295963cf50110"),
     "field_scan_magnetic/run-trials/7": ("6b8fd4cdfa2cd0ca", "5a09acf95f07eeb7"),
-    "zeno/run-trials/7": ("993b303f369a1501", None),
 }
 
 

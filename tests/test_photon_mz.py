@@ -91,6 +91,12 @@ class TestAnalyticDistribution:
         with pytest.raises(ValueError):
             EvSetup(object_arm="sideways")
 
+    @pytest.mark.parametrize("flag", ["false", "no", 0, 1, None, np.bool_(True)])
+    def test_non_bool_object_present_rejected(self, flag):
+        # "false" gave the object's (0.25, 0.25, 0.5).
+        with pytest.raises(ValueError, match="^object_present must be a bool"):
+            EvSetup(object_present=flag)
+
     @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_phase_rejected(self, phase):
         with pytest.raises(ValueError, match="arm_phase"):
@@ -303,6 +309,12 @@ class TestZenoVariant:
         # 2.5 returned a success probability of 0.3466.
         with pytest.raises(ValueError, match="^n_cycles must be an integer"):
             zeno_ifm_distribution(n, object_present=True)
+
+    @pytest.mark.parametrize("flag", ["false", "no", 0, 1, None, np.bool_(True)])
+    def test_non_bool_object_present_rejected(self, flag):
+        # "no" returned a success probability of 0.5308 at 4 cycles.
+        with pytest.raises(ValueError, match="^object_present must be a bool"):
+            zeno_ifm_distribution(4, flag)
 
     def test_max_cycle_count_is_finite(self):
         assert MAX_CYCLES == 2**53
