@@ -7,7 +7,7 @@ Lorentz-force trajectory bending, and the discrete source-scanning protocol
 that measures a field without the detected particle ever entering it.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .fields import (
     CGS,

@@ -400,7 +400,8 @@ def _prepare_scan(p: dict, seed: int, magnetic: bool) -> runners.ScanPlan:
         half = [float(h) for h in p["box_half_widths"]]
         anchor = geometry.source_anchor
         template = errors.at("parameters.box_half_widths", UniformBRegion, p["field_vector"],
-                             anchor - half, anchor + half)
+                             [a - h for a, h in zip(anchor, half)],
+                             [a + h for a, h in zip(anchor, half)])
         # The rows place the box the same way; a far position can round its extent to 0.
         for distance in (scan["positions"][0], scan["positions"][-1]):
             if template is None or errors.at("parameters.scan.positions", with_position,

@@ -16,25 +16,27 @@ to the plane, in O(1).  A point charge's deflection has a closed form too, the
 exact Kepler/Rutherford orbit (:func:`coulomb_deflection`), whose exit angle
 is a cancellation-free root so that it stays exact as the deflection goes to
 0.  Fixed-step RK4 (:func:`integrate_trajectory`) is kept as the oracle for
-both.  Its one stepping loop (:func:`_rk4_run`) fuses only the planar
-Coulomb pass (launch z, vz and source z all +0.0, q Q / m finite), which
-every scan geometry in use is: its stages write the Coulomb acceleration
-out without the z terms, bit for bit the 3-D stages.  Every other pass
-steps through the source's :func:`_acceleration_fn` closure.
-:func:`scan_row` runs point-charge rows on that loop, keeping only the
-state on the exit plane (:func:`_rk4_exit`).  Brent's root-finder, seeded
-with the bracketing pair from a coarse five-sample monotonicity scan,
-inverts deflection-vs-distance to the critical source distance for a given
-threshold angle on the exact deflections, so it integrates nothing.
+both.  Its one stepping loop, :func:`_rk4_run`, also runs the point-charge
+rows of :func:`scan_row`, keeping only the exit angle (:func:`_rk4_exit`).
+Brent's root-finder, seeded with the bracketing pair from a coarse
+five-sample monotonicity scan, inverts deflection-vs-distance to the
+critical source distance for a given threshold angle on the exact
+deflections, so it integrates nothing.
+
+Every 3-vector a domain object holds is a tuple of three floats
+(:data:`Vec3`).  numpy, ``np`` in annotations, is imported only where an
+array is returned: in :func:`eval_fields`, :func:`lorentz_force` and
+:func:`integrate_trajectory`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+Vec3 = tuple[float, float, float]  # a position (cm), velocity (cm/s) or field
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,15 @@ class PhysicalConstants:
 CGS = PhysicalConstants()
 
 
-def _vec3(value, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not all(map(math.isfinite, v.tolist())):
+def _vec3(value, name: str) -> Vec3:
+    """``value`` as three floats; ``ValueError`` unless it is three finite numbers."""
+    try:
+        v = () if isinstance(value, str) else tuple(map(float, value))
+    except TypeError:  # not iterable, or an entry that is not a number
+        v = ()
+    if len(v) != 3:
+        raise ValueError(f"{name} must be a 3-vector, got {value!r}")
+    if not all(map(math.isfinite, v)):
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -72,7 +78,7 @@ class PointCharge:
     """Point electric charge q (statC) at a fixed position (cm)."""
 
     q: float
-    position: np.ndarray
+    position: Vec3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "position", _vec3(self.position, "position"))
@@ -86,22 +92,22 @@ class _BoxRegion:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             object.__setattr__(self, f.name, _vec3(getattr(self, f.name), f.name))
-        if not all(lo < hi for lo, hi in zip(self.box_min.tolist(), self.box_max.tolist())):
+        if not all(lo < hi for lo, hi in zip(self.box_min, self.box_max)):
             raise ValueError("field region box must have positive extent")
 
     @property
-    def position(self) -> np.ndarray:
+    def position(self) -> Vec3:
         """Center of the field region."""
-        return 0.5 * (self.box_min + self.box_max)
+        return tuple(0.5 * (lo + hi) for lo, hi in zip(self.box_min, self.box_max))
 
 
 @dataclass(frozen=True, eq=False)
 class UniformBRegion(_BoxRegion):
     """Constant magnetic field B (gauss) inside an axis-aligned box (cm)."""
 
-    B: np.ndarray
-    box_min: np.ndarray
-    box_max: np.ndarray
+    B: Vec3
+    box_min: Vec3
+    box_max: Vec3
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +118,9 @@ class UniformERegion(_BoxRegion):
     cage-style configurations.
     """
 
-    E: np.ndarray
-    box_min: np.ndarray
-    box_max: np.ndarray
+    E: Vec3
+    box_min: Vec3
+    box_max: Vec3
 
 
 FieldSource = PointCharge | UniformBRegion | UniformERegion
@@ -128,7 +134,7 @@ MAX_STEPS = 2_000_000
 SINGULARITY_CUTOFF = 1e-6
 
 # Machine epsilon; the root finder's relative tolerance never drops below 8x it.
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 _TWO_PI = 2.0 * math.pi
 
@@ -144,8 +150,8 @@ class TestParticle:
 
     q: float
     m: float
-    r0: np.ndarray
-    v0: np.ndarray
+    r0: Vec3
+    v0: Vec3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r0", _vec3(self.r0, "r0"))
@@ -153,7 +159,7 @@ class TestParticle:
         if not math.isfinite(self.q):
             raise ValueError("charge must be finite")
         _require_positive(self.m, "mass")
-        speed = float(np.linalg.norm(self.v0))
+        speed = math.hypot(*self.v0)
         if speed >= MAX_SPEED_FRACTION * CGS.c:
             raise ValueError(
                 f"|v0| = {speed:.3e} cm/s violates the nonrelativistic bound "
@@ -205,10 +211,12 @@ def eval_fields(source: FieldSource, r) -> tuple[np.ndarray, np.ndarray]:
     Returns (E, B) in (statV/cm, gauss).  Evaluation exactly at a point
     source is a domain error.
     """
+    import numpy as np
+
     r = _vec3(r, "r")
     zero = np.zeros(3)
     if isinstance(source, PointCharge):
-        d = r - source.position
+        d = np.subtract(r, source.position)
         dist = math.hypot(*d)
         if dist == 0.0:
             raise ValueError("field evaluated at the point-charge position")
@@ -216,12 +224,12 @@ def eval_fields(source: FieldSource, r) -> tuple[np.ndarray, np.ndarray]:
             return source.q * d / (dist * dist) ** 1.5, zero
         # Where q*d or dist^3 could overflow, dividing first cannot.
         return source.q / dist / dist * (d / dist), zero
+    if isinstance(source, (UniformBRegion, UniformERegion)):
+        inside = all(lo <= c <= hi for c, lo, hi in zip(r, source.box_min, source.box_max))
     if isinstance(source, UniformBRegion):
-        inside = bool(np.all(r >= source.box_min) and np.all(r <= source.box_max))
-        return zero, source.B.copy() if inside else zero.copy()
+        return zero, np.array(source.B) if inside else zero.copy()
     if isinstance(source, UniformERegion):
-        inside = bool(np.all(r >= source.box_min) and np.all(r <= source.box_max))
-        return source.E.copy() if inside else zero.copy(), zero
+        return np.array(source.E) if inside else zero.copy(), zero
     raise TypeError(f"unsupported field source {type(source).__name__}")
 
 
@@ -231,9 +239,11 @@ def lorentz_force(q: float, v, E, B) -> np.ndarray:
     For classical 3-vectors the magnetic term equals q (v x B)/c; the
     symmetrized form is kept as written.
     """
-    vx, vy, vz = _vec3(v, "v").tolist()
-    E = _vec3(E, "E")
-    bx, by, bz = _vec3(B, "B").tolist()
+    import numpy as np
+
+    vx, vy, vz = _vec3(v, "v")
+    E = np.array(_vec3(E, "E"))
+    bx, by, bz = _vec3(B, "B")
     # v x B and B x v from scalars, in the operations np.cross runs.
     cross = np.array([vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx])
     cross -= np.array([by * vz - bz * vy, bz * vx - bx * vz, bx * vy - by * vx])
@@ -250,7 +260,7 @@ def _acceleration_fn(particle: TestParticle, source: FieldSource):
     qm = particle.q / particle.m
     if isinstance(source, PointCharge):
         k = qm * source.q
-        sx, sy, sz = (float(c) for c in source.position)
+        sx, sy, sz = source.position
 
         def accel(x, y, z, vx, vy, vz):
             dx, dy, dz = x - sx, y - sy, z - sz
@@ -259,9 +269,9 @@ def _acceleration_fn(particle: TestParticle, source: FieldSource):
 
         return accel
     if isinstance(source, UniformERegion):
-        ax0, ay0, az0 = (qm * float(c) for c in source.E)
-        lx, ly, lz = (float(c) for c in source.box_min)
-        hx, hy, hz = (float(c) for c in source.box_max)
+        ax0, ay0, az0 = (qm * c for c in source.E)
+        lx, ly, lz = source.box_min
+        hx, hy, hz = source.box_max
 
         def accel(x, y, z, vx, vy, vz):
             if lx <= x <= hx and ly <= y <= hy and lz <= z <= hz:
@@ -271,9 +281,9 @@ def _acceleration_fn(particle: TestParticle, source: FieldSource):
         return accel
     if isinstance(source, UniformBRegion):
         s = qm / CGS.c
-        bx, by, bz = (float(c) for c in source.B)
-        lx, ly, lz = (float(c) for c in source.box_min)
-        hx, hy, hz = (float(c) for c in source.box_max)
+        bx, by, bz = source.B
+        lx, ly, lz = source.box_min
+        hx, hy, hz = source.box_max
 
         def accel(x, y, z, vx, vy, vz):
             if lx <= x <= hx and ly <= y <= hy and lz <= z <= hz:
@@ -323,7 +333,7 @@ def _rk4_run(particle: TestParticle, source: FieldSource, guard):
     flat = False
     if isinstance(source, PointCharge):
         k = particle.q / particle.m * source.q
-        sx, sy, sz = (float(c) for c in source.position)
+        sx, sy, sz = source.position
         flat = math.isfinite(k) and _plus_zero(sz)
 
     def check(dx, dy, dz, vx, vy, vz):
@@ -393,12 +403,6 @@ def _rk4_run(particle: TestParticle, source: FieldSource, guard):
     return run
 
 
-def _deflection_between(v0: np.ndarray, v1: np.ndarray) -> float:
-    """Angle between two velocity vectors, stable for small angles."""
-    cross = np.cross(v0, v1)
-    return float(math.atan2(float(np.linalg.norm(cross)), float(v0 @ v1)))
-
-
 def _turn_angle(vx: float, vy: float, vz: float, dvx: float, dvy: float, dvz: float) -> float:
     """Angle between v and v + dv, from dv itself so that a small turn keeps its digits."""
     cross = math.hypot(vy * dvz - vz * dvy, vz * dvx - vx * dvz, vx * dvy - vy * dvx)
@@ -420,9 +424,9 @@ def _check_launch(x0: float, vx: float, exit_plane_x: float) -> float:
 
 def _rk4_exit(particle: TestParticle, source: FieldSource, exit_plane_x: float, dt: float,
               max_steps: int, singularity_cutoff: float, times=None, states=None):
-    """Exit-plane state of :func:`integrate_trajectory`; samples go to ``times``/``states``."""
+    """Exit angle of :func:`integrate_trajectory`; samples go to ``times``/``states``."""
     _require_positive(dt, "dt")
-    x, y, z, vx, vy, vz = particle.r0.tolist() + particle.v0.tolist()
+    x, y, z, vx, vy, vz = particle.r0 + particle.v0
     direction = _check_launch(x, vx, exit_plane_x)
 
     guard = None
@@ -459,7 +463,7 @@ def _rk4_exit(particle: TestParticle, source: FieldSource, exit_plane_x: float, 
     if times is not None:
         times.append(times[-1] + h)
         states.extend(state)
-    return state
+    return _turn_angle(vx, vy, vz, state[3] - vx, state[4] - vy, state[5] - vz)
 
 
 def integrate_trajectory(
@@ -473,16 +477,9 @@ def integrate_trajectory(
 ) -> TrajectoryResult:
     """RK4 integration of the particle through the source's field.
 
-    Steps come from one :func:`_rk4_run` loop.  A point-charge launch with
-    r0_z, v0_z and the source's z all +0.0 (and a finite q Q / m) takes its
-    fused planar stages; every other pass steps through the source's
-    :func:`_acceleration_fn` closure, the scalar expansion of
-    lorentz_force(eval_fields).  SHA-256 digests of t, r and v in the test
-    suite pin both stage sets (a planar and a 3-D Coulomb pass, an oblique B
-    box and an oblique E box) and the choice between them (seven edge
-    digests: a nonzero or -0.0 z0, vz0 or source z, and a repulsive planar
-    pass), and with them :func:`scan_row`, which keeps only the exit state
-    (:func:`_rk4_exit`).
+    Steps come from :func:`_rk4_run`; SHA-256 digests of t, r and v in the
+    test suite pin its two stage sets and the choice between them.  The
+    deflection is the turn from v0 to the exit velocity (:func:`_turn_angle`).
     ``dt`` must be finite and positive.  Integration runs until the x
     coordinate crosses ``exit_plane_x`` (the final partial step is refined
     onto the plane).  The particle must initially move toward the plane
@@ -494,15 +491,17 @@ def integrate_trajectory(
     point charge's state reaches x within two steps), and so does any
     non-finite component on the exit plane.
     """
-    times, states = [0.0], particle.r0.tolist() + particle.v0.tolist()
-    state = _rk4_exit(particle, source, exit_plane_x, dt, max_steps, singularity_cutoff,
+    import numpy as np
+
+    times, states = [0.0], list(particle.r0 + particle.v0)
+    angle = _rk4_exit(particle, source, exit_plane_x, dt, max_steps, singularity_cutoff,
                       times, states)
     samples = np.array(states).reshape(-1, 6)
     return TrajectoryResult(
         t=np.array(times),
         r=samples[:, :3],
         v=samples[:, 3:],
-        deflection_angle=_deflection_between(particle.v0, np.array(state[3:])),
+        deflection_angle=angle,
     )
 
 
@@ -554,11 +553,11 @@ def coulomb_deflection(
     the plane, and ``ValueError`` unless the particle starts before the plane
     moving toward it (:func:`_check_launch`).
     """
-    x0 = float(particle.r0[0])
-    vx, vy, vz = (float(c) for c in particle.v0)
+    x0 = particle.r0[0]
+    vx, vy, vz = particle.v0
     _check_launch(x0, vx, exit_plane_x)
-    sx = float(charge.position[0])
-    rx, ry, rz = (float(a) - float(b) for a, b in zip(particle.r0, charge.position))
+    sx = charge.position[0]
+    rx, ry, rz = (a - b for a, b in zip(particle.r0, charge.position))
     r0 = math.hypot(rx, ry, rz)
     if r0 < singularity_cutoff:  # also keeps r0 = 0 out of the divisions below
         raise SingularityError(f"trajectory within {singularity_cutoff} cm of the point source")
@@ -756,8 +755,8 @@ def _box_exit(
     and the velocity change dv along the way, as lists of floats.
     """
     q_m = particle.q / particle.m
-    r0, v0 = particle.r0.tolist(), particle.v0.tolist()
-    lo, hi = box.box_min.tolist(), box.box_max.tolist()
+    r0, v0 = particle.r0, particle.v0
+    lo, hi = box.box_min, box.box_max
     direction = _check_launch(r0[0], v0[0], exit_plane_x)
 
     # Slab test (Williams et al., J. Graphics Tools 10:49, 2005).
@@ -784,7 +783,7 @@ def _box_exit(
     planes.append((0, direction, direction * (p[0] - exit_plane_x)))
 
     if isinstance(box, UniformERegion):
-        a = [q_m * e for e in box.E.tolist()]
+        a = [q_m * e for e in box.E]
         if not all(map(math.isfinite, a)):
             raise ValueError("q E / m is not finite")
         if not any(a):
@@ -795,7 +794,7 @@ def _box_exit(
         r = [p[i] + (v0[i] + 0.5 * a[i] * t) * t for i in range(3)]
     elif isinstance(box, UniformBRegion):
         # dv/dt = w x v with w = -q B / (m c): v turns about w_hat at rate |w|.
-        wx, wy, wz = (-q_m / CGS.c * b for b in box.B.tolist())
+        wx, wy, wz = (-q_m / CGS.c * b for b in box.B)
         omega = math.hypot(wx, wy, wz)
         if not math.isfinite(omega):
             raise ValueError("the gyrofrequency |q B| / (m c) is not finite")
@@ -849,7 +848,7 @@ def box_deflection(
     end = _box_exit(particle, box, exit_plane_x)
     if end is None:
         return 0.0
-    return _turn_angle(*particle.v0.tolist(), *end[1])
+    return _turn_angle(*particle.v0, *end[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -863,19 +862,19 @@ class BeamGeometry:
     """
 
     exit_plane_x: float
-    source_anchor: np.ndarray
-    approach_direction: np.ndarray
+    source_anchor: Vec3
+    approach_direction: Vec3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "source_anchor", _vec3(self.source_anchor, "source_anchor"))
         d = _vec3(self.approach_direction, "approach_direction")
-        norm = float(np.linalg.norm(d))
+        norm = math.hypot(*d)
         if norm == 0.0:
             raise ValueError("approach_direction must be nonzero")
-        object.__setattr__(self, "approach_direction", d / norm)
+        object.__setattr__(self, "approach_direction", tuple(c / norm for c in d))
 
-    def source_position(self, distance: float) -> np.ndarray:
-        return self.source_anchor + distance * self.approach_direction
+    def source_position(self, distance: float) -> Vec3:
+        return tuple(a + distance * u for a, u in zip(self.source_anchor, self.approach_direction))
 
 
 def with_position(source: FieldSource, position) -> FieldSource:
@@ -887,10 +886,9 @@ def with_position(source: FieldSource, position) -> FieldSource:
     if isinstance(source, PointCharge):
         return dataclasses.replace(source, position=position)
     if isinstance(source, (UniformBRegion, UniformERegion)):
-        shift = position - source.position
-        return dataclasses.replace(
-            source, box_min=source.box_min + shift, box_max=source.box_max + shift
-        )
+        shift = [p - c for p, c in zip(position, source.position)]
+        lo, hi = ([a + s for a, s in zip(box, shift)] for box in (source.box_min, source.box_max))
+        return dataclasses.replace(source, box_min=lo, box_max=hi)
     raise TypeError(f"unsupported field source {type(source).__name__}")
 
 
@@ -926,25 +924,21 @@ def scan_row(
     RK4 at ``dt`` with :data:`MAX_STEPS` and :data:`SINGULARITY_CUTOFF`,
     through the sample-free :func:`_rk4_exit` of its loop: bit for bit the
     deflection of :func:`integrate_trajectory` at its defaults, until the
-    exact orbit replaces it (ROADMAP item 2).  A planar row (particle and
-    source on z = +0.0, as every scan geometry in use places them) takes the
-    loop's fused planar stages; an oblique one steps through
-    :func:`_acceleration_fn`.  The magnitude is read where the launch line passes closest to the source's
-    reference position; |v0| comes from ``math.hypot``, so neither a tiny
-    |v0| nor a far source under- or overflows.
+    exact orbit replaces it (ROADMAP item 2).  The magnitude is read where
+    the launch line passes closest to the source's reference position; |v0|
+    comes from ``math.hypot``, so neither a tiny |v0| nor a far source
+    under- or overflows.
     """
     source = with_position(source_template, geometry.source_position(distance))
     exit_x = geometry.exit_plane_x
     if isinstance(source, PointCharge):
-        state = _rk4_exit(particle, source, exit_x, dt, MAX_STEPS, SINGULARITY_CUTOFF)
-        deflection = _deflection_between(particle.v0, np.array(state[3:]))
+        deflection = _rk4_exit(particle, source, exit_x, dt, MAX_STEPS, SINGULARITY_CUTOFF)
     else:
         deflection = box_deflection(particle, source, exit_x)
     speed = math.hypot(*particle.v0)
-    u = [v / speed for v in particle.v0.tolist()]
-    r0 = particle.r0.tolist()
-    s = sum((p - r) * c for p, r, c in zip(source.position.tolist(), r0, u))
-    E, B = eval_fields(source, [r + s * c for r, c in zip(r0, u)])
+    u = [v / speed for v in particle.v0]
+    s = sum((p - r) * c for p, r, c in zip(source.position, particle.r0, u))
+    E, B = eval_fields(source, [r + s * c for r, c in zip(particle.r0, u)])
     return deflection, math.hypot(*E) + math.hypot(*B)
 
 
@@ -981,7 +975,8 @@ def critical_distance(
     def deflection(d: float) -> float:
         return deflection_at_distance(particle, source_template, geometry, d)
 
-    samples = [float(d) for d in np.linspace(lo, hi, 5)]
+    step = (hi - lo) / 4
+    samples = [lo + i * step for i in range(4)] + [hi]
     angles = [deflection(d) for d in samples]
     slack = 1e-12 * max(angles)
     for a, b in zip(angles, angles[1:]):
@@ -1022,4 +1017,5 @@ def sphere_radius_for_deflection(delta_phi: float, density: float) -> float:
     """
     _require_positive(delta_phi, "target deflection")
     _require_positive(density, "density")
-    return math.sqrt(3.0 * delta_phi * CGS.c**2 / (16.0 * math.pi * CGS.G * density))
+    denominator = 16.0 * math.pi * CGS.G * density  # 0.0 at a subnormal density
+    return math.sqrt(3.0 * delta_phi * CGS.c**2 / denominator) if denominator else math.inf

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 ARM_UPPER = "upper"
 ARM_LOWER = "lower"
@@ -128,12 +127,17 @@ def ev_outcome_distribution(setup: EvSetup) -> EvDistribution:
     return EvDistribution(p_light_detector=light, p_dark_detector=dark, p_absorbed=p_abs)
 
 
-def _count_below(rng: np.random.Generator, n: int, cuts) -> list[int]:
+def _count_below(rng, n: int, cuts) -> list[int]:
     """How many of ``n`` draws of ``rng.random()`` fall below each cut.
 
-    The draws come in blocks of :data:`_BLOCK`, so memory stays O(block) for
-    any ``n`` while the stream consumed is exactly that of ``rng.random(n)``.
+    ``rng`` is a ``numpy.random.Generator``, which the draws advance, or a
+    seed for one; every seeded draw of the package is made here.  The draws
+    come in blocks of :data:`_BLOCK`, so memory stays O(block) for any ``n``
+    while the stream consumed is exactly that of ``rng.random(n)``.
     """
+    import numpy as np
+
+    rng = np.random.default_rng(rng)  # a Generator is returned unchanged
     counts = [0] * len(cuts)
     left = n
     while left > 0:
@@ -145,16 +149,17 @@ def _count_below(rng: np.random.Generator, n: int, cuts) -> list[int]:
 
 
 def _require_count(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int or numpy integer, not a bool, and >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy's too), not a bool, and >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1")
 
 
-def run_ev_trials(setup: EvSetup, n_trials: int, rng: np.random.Generator) -> dict[str, int]:
+def run_ev_trials(setup: EvSetup, n_trials: int, rng) -> dict[str, int]:
     """Sample ``n_trials`` independent single-photon runs.
 
+    ``rng`` is a ``numpy.random.Generator`` or a seed (see :func:`_count_below`).
     Returns counts per outcome label ("light", "dark", "absorbed"); counts sum
     to ``n_trials`` and are reproducible for a fixed generator state.  The
     absorbed share is the norm the detectors do not see.
@@ -164,15 +169,16 @@ def run_ev_trials(setup: EvSetup, n_trials: int, rng: np.random.Generator) -> di
     cdf[0] <= u < cdf[1], absorbed otherwise.  The draws are counted in fixed
     blocks, so memory does not grow with ``n_trials``.  This is the inverse
     CDF that ``rng.choice(3, size=n_trials, p=p)`` evaluates, so the counts
-    and the generator's final state are bit-identical to those of that call.
+    and the generator's final state are bit-identical to those of that call:
+    p over its sum, then the running sum over its last entry, summed left to
+    right as numpy sums three floats.
     """
     _require_count(n_trials, "n_trials")
     light, dark, _ = _port_probabilities(setup)
-    p = np.array([light, dark, max(0.0, 1.0 - (light + dark))])
-    p /= p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    below_light, below_dark = _count_below(rng, n_trials, cdf[:2])
+    p = (light, dark, max(0.0, 1.0 - (light + dark)))
+    total = p[0] + p[1] + p[2]
+    a, b, c = (x / total for x in p)
+    below_light, below_dark = _count_below(rng, n_trials, (a / (a + b + c), (a + b) / (a + b + c)))
     return {
         OUTCOME_LIGHT: below_light,
         OUTCOME_DARK: below_dark - below_light,

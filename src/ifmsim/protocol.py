@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fields import (
     CGS,
@@ -33,6 +32,7 @@ from .fields import (
     FieldSource,
     ProtocolError,
     TestParticle,
+    Vec3,
     _require_positive,
     scan_row,
 )
@@ -175,7 +175,7 @@ class ScanConfig:
             raise ValueError("positions must be positive distances")
         _require_count(self.trials_per_position, "trials_per_position")
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if not 0.0 < self.confidence_target < 1.0:
             raise ValueError("confidence_target must lie in (0, 1)")
@@ -216,7 +216,7 @@ class ScanResult:
     bracket: tuple[float, float] | None
     conclusive: bool
     detected_path: str | None
-    detected_v_final: np.ndarray | None
+    detected_v_final: Vec3 | None
 
 
 def run_field_scan(
@@ -256,8 +256,7 @@ def run_field_scan(
             )
         blocked = deflection > config.phi_c
         p_detect = p_blocked if blocked else p_null
-        rng = np.random.default_rng([config.seed, k])
-        (detections,) = _count_below(rng, config.trials_per_position, (p_detect,))
+        (detections,) = _count_below([config.seed, k], config.trials_per_position, (p_detect,))
         records.append(
             PositionRecord(
                 distance=distance,
@@ -287,5 +286,5 @@ def run_field_scan(
         bracket=(last.distance, previous.distance) if previous is not None else None,
         conclusive=conclusive,
         detected_path="lower" if conclusive else None,
-        detected_v_final=particle.v0.copy() if conclusive else None,
+        detected_v_final=particle.v0 if conclusive else None,
     )

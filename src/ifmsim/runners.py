@@ -15,8 +15,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fields import FieldSource, TestParticle, light_deflection, sphere_radius_for_deflection
 from .matter_mz import (
     BLOCK_LOWER,
@@ -83,7 +81,7 @@ class GravityPlan:
 
 def ev_bomb(plan: EvPlan) -> dict:
     dist = ev_outcome_distribution(plan.setup)
-    counts = run_ev_trials(plan.setup, plan.trials, np.random.default_rng(plan.seed))
+    counts = run_ev_trials(plan.setup, plan.trials, plan.seed)
     resolved = {**dataclasses.asdict(plan.setup), "trials": plan.trials}
     results = {
         "analytic": {
@@ -156,7 +154,7 @@ def gravity_sphere(delta_phi: float, density: float) -> tuple[float, float]:
     """
     radius = sphere_radius_for_deflection(delta_phi, density)
     try:
-        mass = 4.0 / 3.0 * np.pi * radius**3 * density
+        mass = 4.0 / 3.0 * math.pi * radius**3 * density
     except OverflowError:
         mass = math.inf
     if not (0.0 < radius < math.inf and math.isfinite(mass)):

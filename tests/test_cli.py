@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -110,7 +112,9 @@ class TestParseConfig:
         (["--target-deflection", "1e150", "--density", "1e-50"], "parameters.delta_phi: "),
         # R underflows to 0: the deflection check raised and exited 1.
         (["--target-deflection", "5e-324", "--density", "1e308"], "parameters.delta_phi: "),
-    ], ids=["deflection-inf", "radius-inf", "mass-inf", "radius-zero"])
+        # 16 pi G rho underflows to 0: a ZeroDivisionError exited 1.
+        (["--target-deflection", "1e-9", "--density", "5e-324"], "parameters.delta_phi: "),
+    ], ids=["deflection-inf", "radius-inf", "mass-inf", "radius-zero", "density-subnormal"])
     def test_gravity_overflow_exits_2(self, argv, where, capsys):
         assert main(["gravity-deflection", *argv]) == 2
         out, err = capsys.readouterr()
@@ -699,9 +703,9 @@ def test_each_domain_object_is_built_once(route, tmp_path, capsys, monkeypatch):
     count_builds(fields.BeamGeometry, lambda _: "geometry")
     count_builds(matter_mz.GratingSpec, lambda g: ("grating", g.p_minus1, g.p_0, g.p_plus1, g.loss))
     count_builds(fields.UniformBRegion,
-                 lambda box: "template" if not any((box.box_min + box.box_max).tolist()) else None)
+                 lambda box: "template" if not any(box.position) else None)
     count_builds(fields.PointCharge,
-                 lambda charge: "template" if not any(charge.position.tolist()) else None)
+                 lambda charge: "template" if not any(charge.position) else None)
     count_calls(monkeypatch, builds, protocol.required_trials)
     count_calls(monkeypatch, builds, matter_mz.ifm_efficiency)
 
@@ -1029,3 +1033,33 @@ PINNED_PARSER_SURFACE = {
 
 def test_parser_surface_pinned():
     assert _parser_surface() == PINNED_PARSER_SURFACE
+
+
+# Runs cli.main with every import of numpy failing.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from ifmsim import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["zeno", "--cycles", "64"], 0),
+    (["matter-null"], 0),
+    (["gravity-deflection", "--target-deflection", "1e-9"], 0),
+    (["run", "zeno.json"], 0),
+    (["--help"], 0),
+    (["zeno", "--cycles", "0"], 2),
+    # The control: the bomb test draws with numpy, so the block stops it.
+    (["ev-bomb"], 1),
+], ids=["zeno", "matter-null", "gravity", "run-zeno", "help", "zeno-exit-2", "ev-bomb-control"])
+def test_runs_without_numpy(argv, code, tmp_path):
+    (tmp_path / "zeno.json").write_text(json.dumps(
+        {"scenario": "zeno", "seed": 7, "parameters": PIN_RUN_PARAMETERS["zeno"]}))
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert ("numpy" in done.stderr) == (code == 1)

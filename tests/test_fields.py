@@ -1114,6 +1114,10 @@ class TestGravity:
         ratio = (radius_cm / 1e5) / 18_900.0
         assert 0.09 < ratio < 0.11
 
+    def test_underflowing_denominator_gives_infinite_radius(self):
+        # 16 pi G rho underflows to 0 at a subnormal density; dividing raised ZeroDivisionError.
+        assert sphere_radius_for_deflection(1e-9, 5e-324) == math.inf
+
     def test_nonpositive_sphere_inputs_rejected(self):
         with pytest.raises(ValueError):
             sphere_radius_for_deflection(0.0, 22.6)
@@ -1146,3 +1150,35 @@ def test_nonfinite_input_rejected(argument, value):
     build, message = NONFINITE_INPUTS[argument]
     with pytest.raises(ValueError, match=f"^{message}$"):
         build(value)
+
+
+def vector_holders():
+    """Each domain type with 3-vector fields, built from lists and a numpy array."""
+    box = {"box_min": [-1.0, -1.0, -1.0], "box_max": np.array([1.0, 1.0, 1.0])}
+    return {
+        "TestParticle": (beam_particle(), ("r0", "v0")),
+        "PointCharge": (PointCharge(q=1.0, position=np.array([0.0, 1.0, 0.0])), ("position",)),
+        "UniformBRegion": (UniformBRegion(B=[0.0, 0.0, 1.0], **box), ("B", "box_min", "box_max")),
+        "UniformERegion": (UniformERegion(E=[1.0, 0.0, 0.0], **box), ("E", "box_min", "box_max")),
+        "BeamGeometry": (beam_geometry(), ("source_anchor", "approach_direction")),
+    }
+
+
+@pytest.mark.parametrize("kind", list(vector_holders()))
+def test_vector_fields_are_immutable(kind):
+    # With arrays, p.v0[0] = 1e20 got past the nonrelativistic bound, and a
+    # write into approach_direction left it no longer a unit vector.
+    holder, names = vector_holders()[kind]
+    for name in names:
+        vector = getattr(holder, name)
+        assert type(vector) is tuple and all(type(c) is float for c in vector)
+        with pytest.raises(TypeError):
+            vector[0] = 1e20
+        assert getattr(holder, name) is vector
+
+
+@pytest.mark.parametrize("value", ["123", [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], 5.0, None,
+                                   [[1.0, 2.0, 3.0]], np.zeros((1, 3))])
+def test_vector_must_be_three_numbers(value):
+    with pytest.raises(ValueError, match="^position must be a 3-vector"):
+        PointCharge(q=1.0, position=value)
