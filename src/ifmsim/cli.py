@@ -43,7 +43,7 @@ from .fields import (
     light_deflection,
     with_position,
 )
-from .matter_mz import GratingSpec, InterferometerModel, ifm_efficiency
+from .matter_mz import NO_BLOCKS, GratingSpec, InterferometerModel, ifm_efficiency, path_weights
 from .photon_mz import ARMS, MAX_CYCLES, EvSetup
 from .protocol import CalibrationSetup, ScanConfig, ab_phase, calibrate, required_trials
 from .records import ResultRecord, make_metadata, record_text, scan_table_text
@@ -426,6 +426,12 @@ def _prepare_scan(p: dict, seed: int, magnetic: bool) -> runners.ScanPlan:
         trials = errors.at("parameters.scan.trials_per_position", _derived_trials, efficiency,
                            float(scan["confidence_target"]))
     errors.check()
+    # Checked last, so that a zero efficiency (p0(g1) = 0) is reported as that alone.
+    if not calibration.null.perfect:
+        upper, lower = path_weights(calibration.model, NO_BLOCKS)
+        raise ConfigError([f"parameters.gratings: path weights p+1(g1)*p-1(g2) = {upper:.6g} "
+                           f"(upper) and p0(g1)*p+1(g2) = {lower:.6g} (lower) differ, so no "
+                           f"phase nulls the detector (residual {calibration.null.residual:.3e})"])
 
     config = ScanConfig(tuple(scan["positions"]), trials, float(scan["confidence_target"]),
                         float(scan["phi_c"]), seed, geometry, float(scan["dt"]))
@@ -604,7 +610,7 @@ def run_scenario(config: ScenarioConfig) -> ResultRecord:
     """Run a configuration's prepared plan and build its result record."""
     body = SCENARIO_TABLE[config.scenario].run(config.plan)
     payload = {"scenario": config.scenario, "seed": config.seed, **body}
-    return ResultRecord(metadata=make_metadata("ifmsim", __version__), payload=payload)
+    return ResultRecord(metadata=make_metadata(), payload=payload)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,8 @@ class NullSolution:
     perfect: bool
 
 
-def _path_weights(model: InterferometerModel, blocks: PathBlockSet) -> tuple[float, float]:
+def path_weights(model: InterferometerModel, blocks: PathBlockSet) -> tuple[float, float]:
+    """Upper and lower path weights of ``model``; a path in ``blocks`` weighs 0."""
     w_upper = 0.0 if PATH_UPPER in blocks.blocked else model.g1.p_plus1 * model.g2.p_minus1
     w_lower = 0.0 if PATH_LOWER in blocks.blocked else model.g1.p_0 * model.g2.p_plus1
     return w_upper, w_lower
@@ -128,7 +129,7 @@ def detector_probability(model: InterferometerModel, blocks: PathBlockSet = NO_B
     product, independent of any phase; with both open the relative phase
     theta + phi sets the fringe.
     """
-    w_u, w_l = _path_weights(model, blocks)
+    w_u, w_l = path_weights(model, blocks)
     # Wrapped first: cos of a raw sum near 1e17 keeps no fractional digits.
     delta = model.third_grating_phase + wrap_phase(model.arm_extra_phase)
     p = w_u + w_l + 2.0 * math.sqrt(w_u * w_l) * math.cos(delta)
@@ -143,7 +144,7 @@ def solve_ideal_offset(model: InterferometerModel) -> NullSolution:
     the detector probability and the solution is flagged imperfect with the
     residual attached.
     """
-    w_u, w_l = _path_weights(model, NO_BLOCKS)
+    w_u, w_l = path_weights(model, NO_BLOCKS)
     phase = wrap_phase(math.pi - wrap_phase(model.arm_extra_phase))
     residual = (math.sqrt(w_u) - math.sqrt(w_l)) ** 2
     return NullSolution(phase=phase, residual=residual, perfect=residual < _NULL_TOL)

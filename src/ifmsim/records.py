@@ -4,7 +4,9 @@ A record has two blocks: ``payload`` carries everything derived from the
 configuration and the seed, and must be byte-for-byte reproducible across
 runs; ``metadata`` carries the timestamp and tool version and is excluded
 from reproducibility comparisons.  Floats are rounded to 12 significant
-digits before serialization so the JSON text itself is stable.
+digits before serialization so the JSON text itself is stable.  A scan's
+``.scan.tsv`` table is headed by its payload rows' keys in order, and its
+cells are those rows' JSON values at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -13,18 +15,9 @@ import json
 import time
 from dataclasses import dataclass
 
-SIGNIFICANT_DIGITS = 12
+from . import __version__
 
-SCAN_COLUMNS = (
-    "index",
-    "distance_cm",
-    "deflection_rad",
-    "blocked",
-    "detection_probability",
-    "trials",
-    "detections",
-    "field_magnitude",
-)
+SIGNIFICANT_DIGITS = 12
 
 
 def round_floats(obj):
@@ -46,34 +39,26 @@ class ResultRecord:
     payload: dict
 
 
-def make_metadata(tool: str, version: str) -> dict:
-    return {
-        "tool": tool,
-        "version": version,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
+def make_metadata() -> dict:
+    created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    return {"tool": "ifmsim", "version": __version__, "created": created}
+
+
+def _text(doc: dict) -> str:
+    return json.dumps(round_floats(doc), sort_keys=True, indent=2) + "\n"
 
 
 def payload_text(record: ResultRecord) -> str:
     """Canonical JSON text of the reproducible payload block."""
-    return json.dumps(round_floats(record.payload), sort_keys=True, indent=2) + "\n"
+    return _text(record.payload)
 
 
 def record_text(record: ResultRecord) -> str:
     """Full record JSON: metadata block plus canonical payload."""
-    doc = {"metadata": record.metadata, "payload": round_floats(record.payload)}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _text({"metadata": record.metadata, "payload": record.payload})
 
 
 def scan_table_text(rows: list[dict]) -> str:
-    """Flat tab-delimited table of per-position scan rows."""
-    lines = ["\t".join(SCAN_COLUMNS) + "\n"]
-    for row in rows:
-        lines.append("\t".join(_cell(round_floats(row[col])) for col in SCAN_COLUMNS) + "\n")
-    return "".join(lines)
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    """Flat tab-delimited table of per-position scan rows, headed by the rows' keys."""
+    lines = [rows[0], *(map(json.dumps, row.values()) for row in round_floats(rows))]
+    return "".join("\t".join(line) + "\n" for line in lines)

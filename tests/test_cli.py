@@ -310,28 +310,6 @@ class TestMainExitCodes:
                             tmp_path / "flag.json")
         assert flag == _fingerprint(["run", str(cfg)], tmp_path / "run.json")
 
-    def test_runtime_failure_exits_1(self, tmp_path, capsys):
-        # Valid configuration whose unequal path weights make a perfect null
-        # impossible, so the scan refuses to run.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "scenario": "field_scan_electric",
-                    "seed": 1,
-                    "parameters": {
-                        "source_charge": 5e-6,
-                        "gratings": {
-                            "g1": {"p_minus1": 0.25, "p_0": 0.5, "p_plus1": 0.25},
-                            "g2": {"p_minus1": 0.1, "p_0": 0.4, "p_plus1": 0.5},
-                        },
-                    },
-                }
-            )
-        )
-        assert main(["run", str(cfg)]) == 1
-        assert "not calibrated" in capsys.readouterr().err
-
     def test_scenario_subcommand(self, tmp_path):
         out = tmp_path / "g.json"
         code = main(
@@ -448,6 +426,15 @@ class TestMainExitCodes:
             ("matter_null",
              {"g2": {"p_minus1": 0.5, "p_0": 0.5, "p_plus1": 0.5}},
              "parameters.g2"),
+            # Unequal path weights leave no phase that nulls the detector.
+            ("field_scan_electric",
+             {"source_charge": 5e-6, "gratings": {"g1": {"p_minus1": 0.2, "p_0": 0.3,
+                                                         "p_plus1": 0.25, "loss": 0.25}}},
+             "parameters.gratings"),
+            ("field_scan_magnetic",
+             {"field_vector": [0.0, 0.0, 1e-3],
+              "gratings": {"g2": {"p_minus1": 0.2, "p_0": 0.3, "p_plus1": 0.25, "loss": 0.25}}},
+             "parameters.gratings"),
         ],
     )
     def test_domain_rules_exit_2(self, scenario, parameters, field, tmp_path, capsys,
