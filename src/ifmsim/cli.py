@@ -13,10 +13,11 @@ record payload byte for byte; only the metadata block (timestamp, version)
 may differ.
 
 Each scenario is one entry of ``SCENARIO_TABLE``: its parameter spec (keys,
-kinds, ranges, defaults), its subcommand flags, its ``prepare``, its runner
-and its summary.  Validation walks the spec (types, ranges, required keys),
-then ``prepare`` fills in the defaults and builds each domain object the run
-needs once, into the plan that ``run_scenario`` runs (see :mod:`runners`).
+kinds, ranges, defaults), its subcommand flags, its ``prepare`` and its
+summary.  Validation walks the spec (types, ranges, required keys), then
+``prepare`` fills in the defaults, builds each domain object the run needs
+once and binds the scenario's runner (see :mod:`runners`) to them; that bound
+call is the plan that ``run_scenario`` calls.
 
 Exit codes: 0 on success, 2 for configuration/validation errors, 1 for
 runtime failures.
@@ -29,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -69,17 +71,17 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario configuration, with the plan that ``config_from_dict`` prepared."""
+    """Validated scenario configuration; ``plan()`` runs it and returns the payload body."""
 
     scenario: str
     seed: int
     parameters: dict
     output_path: str | None = None
-    plan: object = field(default=None, compare=False, repr=False)
+    plan: Callable[[], dict] | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
-# Validation: a walk over the scenario's spec, then its plan
+# Validation: a walk over the scenario's spec, then its ``prepare``
 # ---------------------------------------------------------------------------
 
 
@@ -273,8 +275,7 @@ class Scenario:
     help: str
     params: dict
     flags: tuple
-    prepare: Callable  # (filled parameters, seed) -> plan; raises ConfigError
-    run: Callable  # plan -> payload body (parameters, results)
+    prepare: Callable  # (filled parameters, seed) -> bound runner; raises ConfigError
     summary: Callable  # payload results -> lines
 
 
@@ -325,7 +326,7 @@ def _scan_params(source: dict, positions: list[float], phi_c: float) -> dict:
 
 
 class _Errors(list):
-    """The error lines of one plan; ``check`` raises them as a ConfigError."""
+    """The error lines of one ``prepare``; ``check`` raises them as a ConfigError."""
 
     def at(self, path: str, build: Callable, *args):
         """``build(*args)``, or None once its ValueError is recorded as ``path: message``."""
@@ -344,10 +345,10 @@ class _Errors(list):
             raise ConfigError(self)
 
 
-def _prepare_ev(p: dict, seed: int) -> runners.EvPlan:
+def _prepare_ev(p: dict, seed: int) -> partial:
     # The walk has checked each rule of EvSetup at its key.
     setup = EvSetup(p["object_present"], p["object_arm"], float(p["arm_phase"]))
-    return runners.EvPlan(setup, p["trials"], seed)
+    return partial(runners.ev_bomb, setup, p["trials"], seed)
 
 
 def _grating_specs(block: dict, path: str, errors: _Errors) -> dict:
@@ -357,11 +358,12 @@ def _grating_specs(block: dict, path: str, errors: _Errors) -> dict:
             for name in ("g1", "g2", "g3")}
 
 
-def _prepare_null(p: dict, seed: int) -> InterferometerModel:
+def _prepare_null(p: dict, seed: int) -> partial:
     errors = _Errors()
     g = _grating_specs(p, "parameters", errors)
     errors.check()
-    return InterferometerModel(**g, arm_extra_phase=float(p["arm_extra_phase"]))
+    return partial(runners.matter_null,
+                   InterferometerModel(**g, arm_extra_phase=float(p["arm_extra_phase"])))
 
 
 def _derived_trials(efficiency: float, confidence: float) -> int:
@@ -375,7 +377,7 @@ def _derived_trials(efficiency: float, confidence: float) -> int:
     return trials
 
 
-def _prepare_scan(p: dict, seed: int, magnetic: bool) -> runners.ScanPlan:
+def _prepare_scan(p: dict, seed: int, magnetic: bool) -> partial:
     """Particle, geometry, gratings, source, calibration and schedule of a field scan."""
     errors = _Errors()
     part, geom, cages, scan = p["particle"], p["geometry"], p["cages"], p["scan"]
@@ -449,10 +451,10 @@ def _prepare_scan(p: dict, seed: int, magnetic: bool) -> runners.ScanPlan:
             "dt": config.dt,
         },
     }
-    return runners.ScanPlan(particle, template, calibration, efficiency, config, echo)
+    return partial(runners.field_scan, particle, template, calibration, efficiency, config, echo)
 
 
-def _prepare_gravity(p: dict, seed: int) -> runners.GravityPlan:
+def _prepare_gravity(p: dict, seed: int) -> partial:
     """The two gravity modes: mass with impact_parameter, and/or delta_phi with optional density."""
     if ("mass" in p) != ("impact_parameter" in p):
         missing = "mass" if "impact_parameter" in p else "impact_parameter"
@@ -473,7 +475,7 @@ def _prepare_gravity(p: dict, seed: int) -> runners.GravityPlan:
         density = float(p.get("density", runners.IRIDIUM_DENSITY))
         errors.at("parameters.delta_phi", runners.gravity_sphere, delta_phi, density)
     errors.check()
-    return runners.GravityPlan(mass, b, delta_phi, density)
+    return partial(runners.gravity_deflection, mass, b, delta_phi, density)
 
 
 def _positions_list(text: str):
@@ -521,7 +523,6 @@ SCENARIO_TABLE = {
             Flag("--trials", "trials", type=int, default=100_000),
         ),
         prepare=_prepare_ev,
-        run=runners.ev_bomb,
         summary=runners.ev_bomb_summary,
     ),
     "zeno": Scenario(
@@ -531,8 +532,7 @@ SCENARIO_TABLE = {
             "object_present": Param("bool", required=True),
         },
         flags=(Flag("--cycles", "n_cycles", type=int, required=True), _OBJECT_PRESENT),
-        prepare=lambda p, seed: runners.ZenoPlan(p["n_cycles"], p["object_present"]),
-        run=runners.zeno,
+        prepare=lambda p, seed: partial(runners.zeno, p["n_cycles"], p["object_present"]),
         summary=runners.zeno_summary,
     ),
     "matter_null": Scenario(
@@ -544,7 +544,6 @@ SCENARIO_TABLE = {
             Flag("--arm-extra-phase", "arm_extra_phase", type=float, default=0.0),
         ),
         prepare=_prepare_null,
-        run=runners.matter_null,
         summary=runners.matter_null_summary,
     ),
     "field_scan_electric": Scenario(
@@ -558,7 +557,6 @@ SCENARIO_TABLE = {
                  help="cage potential difference lower-upper (statV)"),
         ),
         prepare=lambda p, seed: _prepare_scan(p, seed, magnetic=False),
-        run=runners.field_scan,
         summary=runners.field_scan_summary,
     ),
     "field_scan_magnetic": Scenario(
@@ -578,7 +576,6 @@ SCENARIO_TABLE = {
             *_SCAN_FLAGS,
         ),
         prepare=lambda p, seed: _prepare_scan(p, seed, magnetic=True),
-        run=runners.field_scan,
         summary=runners.field_scan_summary,
     ),
     "gravity_deflection": Scenario(
@@ -598,7 +595,6 @@ SCENARIO_TABLE = {
             Flag("--density", "density", type=float, help="sphere density (g/cm^3)"),
         ),
         prepare=_prepare_gravity,
-        run=runners.gravity_deflection,
         summary=runners.gravity_summary,
     ),
 }
@@ -607,9 +603,8 @@ SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 def run_scenario(config: ScenarioConfig) -> ResultRecord:
-    """Run a configuration's prepared plan and build its result record."""
-    body = SCENARIO_TABLE[config.scenario].run(config.plan)
-    payload = {"scenario": config.scenario, "seed": config.seed, **body}
+    """Call a configuration's plan and build its result record."""
+    payload = {"scenario": config.scenario, "seed": config.seed, **config.plan()}
     return ResultRecord(metadata=make_metadata(), payload=payload)
 
 

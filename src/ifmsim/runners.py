@@ -1,9 +1,9 @@
-"""Scenario runners: from a prepared plan to a payload body.
+"""Scenario runners: from the domain objects of a run to a payload body.
 
-``cli`` checks a configuration against its scenario's spec, then builds
-once every domain object the run needs: the plan, a frozen dataclass below
-(for ``matter_null``, the :class:`InterferometerModel`).  A runner only
-computes from its plan and echoes it.  It returns the payload body: the
+``cli`` checks a configuration against its scenario's spec, then its
+``prepare`` builds once every domain object the run needs and binds the
+scenario's runner to them (``functools.partial``).  A runner only computes
+from its arguments and echoes them.  It returns the payload body: the
 ``parameters`` the payload echoes and the ``results``, where a scan keeps its
 per-position rows under ``per_position``.  Each ``*_summary`` turns a
 payload's results into the lines printed after a run.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 from .fields import FieldSource, TestParticle, light_deflection, sphere_radius_for_deflection
 from .matter_mz import (
@@ -40,49 +39,10 @@ IRIDIUM_DENSITY = 22.6  # g/cm^3
 _RENAMED = ("distance", "deflection_angle")
 
 
-@dataclass(frozen=True, eq=False)
-class EvPlan:
-    setup: EvSetup
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True, eq=False)
-class ZenoPlan:
-    n_cycles: int
-    object_present: bool
-
-
-@dataclass(frozen=True, eq=False)
-class ScanPlan:
-    """A field scan on its calibrated interferometer.
-
-    ``parameters`` is the payload's echo: the particle, geometry and cages
-    blocks as written (an integer stays an integer), everything else as used.
-    """
-
-    particle: TestParticle
-    template: FieldSource
-    calibration: CalibrationResult
-    efficiency: float
-    scan: ScanConfig
-    parameters: dict
-
-
-@dataclass(frozen=True, eq=False)
-class GravityPlan:
-    """Mass with impact parameter, and/or a target deflection with its density; None if unset."""
-
-    mass: float | None
-    impact_parameter: float | None
-    delta_phi: float | None
-    density: float | None
-
-
-def ev_bomb(plan: EvPlan) -> dict:
-    dist = ev_outcome_distribution(plan.setup)
-    counts = run_ev_trials(plan.setup, plan.trials, plan.seed)
-    resolved = {**dataclasses.asdict(plan.setup), "trials": plan.trials}
+def ev_bomb(setup: EvSetup, trials: int, seed: int) -> dict:
+    dist = ev_outcome_distribution(setup)
+    counts = run_ev_trials(setup, trials, seed)
+    resolved = {**dataclasses.asdict(setup), "trials": trials}
     results = {
         "analytic": {
             "light": dist.p_light_detector,
@@ -90,14 +50,15 @@ def ev_bomb(plan: EvPlan) -> dict:
             "absorbed": dist.p_absorbed,
         },
         "counts": counts,
-        "frequencies": {k: v / plan.trials for k, v in counts.items()},
+        "frequencies": {k: v / trials for k, v in counts.items()},
     }
     return {"parameters": resolved, "results": results}
 
 
-def zeno(plan: ZenoPlan) -> dict:
-    dist = zeno_ifm_distribution(plan.n_cycles, plan.object_present)
-    return {"parameters": dataclasses.asdict(plan), "results": dataclasses.asdict(dist)}
+def zeno(n_cycles: int, object_present: bool) -> dict:
+    dist = zeno_ifm_distribution(n_cycles, object_present)
+    resolved = {"n_cycles": n_cycles, "object_present": object_present}
+    return {"parameters": resolved, "results": dataclasses.asdict(dist)}
 
 
 def matter_null(model: InterferometerModel) -> dict:
@@ -118,10 +79,14 @@ def matter_null(model: InterferometerModel) -> dict:
     return {"parameters": resolved, "results": results}
 
 
-def field_scan(plan: ScanPlan) -> dict:
-    """Scan a point charge or a uniform-B box toward the beam on the calibrated model."""
-    calibration = plan.calibration
-    result = run_field_scan(calibration.model, plan.template, plan.particle, plan.scan)
+def field_scan(particle: TestParticle, template: FieldSource, calibration: CalibrationResult,
+               efficiency: float, scan: ScanConfig, parameters: dict) -> dict:
+    """Scan a point charge or a uniform-B box toward the beam on the calibrated model.
+
+    ``parameters`` is the payload's echo: the particle, geometry and cages
+    blocks as written (an integer stays an integer), everything else as used.
+    """
+    result = run_field_scan(calibration.model, template, particle, scan)
     results = {
         "calibration": {
             "arm_extra_phase": calibration.model.arm_extra_phase,
@@ -129,7 +94,7 @@ def field_scan(plan: ScanPlan) -> dict:
             "residual": calibration.null.residual,
             "perfect": calibration.null.perfect,
         },
-        "efficiency": plan.efficiency,
+        "efficiency": efficiency,
         "scan": {
             "conclusive": result.conclusive,
             "first_detecting_position": result.first_detecting_position,
@@ -144,7 +109,7 @@ def field_scan(plan: ScanPlan) -> dict:
             for i, rec in enumerate(result.per_position)
         ],
     }
-    return {"parameters": plan.parameters, "results": results}
+    return {"parameters": parameters, "results": results}
 
 
 def gravity_sphere(delta_phi: float, density: float) -> tuple[float, float]:
@@ -163,14 +128,20 @@ def gravity_sphere(delta_phi: float, density: float) -> tuple[float, float]:
     return radius, mass
 
 
-def gravity_deflection(plan: GravityPlan) -> dict:
-    """Light bending by a mass at an impact parameter and/or the sphere for a target deflection."""
-    resolved = {key: value for key, value in dataclasses.asdict(plan).items() if value is not None}
+def gravity_deflection(mass: float | None, impact_parameter: float | None,
+                       delta_phi: float | None, density: float | None) -> dict:
+    """Light bending by a mass at an impact parameter and/or the sphere for a target deflection.
+
+    A mode left out has its two values at None.
+    """
+    given = {"mass": mass, "impact_parameter": impact_parameter,
+             "delta_phi": delta_phi, "density": density}
+    resolved = {key: value for key, value in given.items() if value is not None}
     results: dict = {}
-    if plan.mass is not None:
-        results["deflection_rad"] = light_deflection(plan.mass, plan.impact_parameter)
-    if plan.delta_phi is not None:
-        radius_cm, sphere_mass = gravity_sphere(plan.delta_phi, plan.density)
+    if mass is not None:
+        results["deflection_rad"] = light_deflection(mass, impact_parameter)
+    if delta_phi is not None:
+        radius_cm, sphere_mass = gravity_sphere(delta_phi, density)
         radius_km = radius_cm / 1.0e5
         results["sphere"] = {
             "radius_cm": radius_cm,

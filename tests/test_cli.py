@@ -669,7 +669,8 @@ WRITTEN_MAGNETIC_SCAN = {
 }
 
 
-@pytest.mark.parametrize("route", ["run-written-magnetic", "bare-electric"])
+@pytest.mark.parametrize("route",
+                         ["run-written-magnetic", "bare-electric", "ev-bomb", "matter-null"])
 def test_each_domain_object_is_built_once(route, tmp_path, capsys, monkeypatch):
     # One run used to build the particle 2x, the geometry 3x, each grating
     # 4x, the field box template 2x and call required_trials 2x.
@@ -693,23 +694,43 @@ def test_each_domain_object_is_built_once(route, tmp_path, capsys, monkeypatch):
                  lambda box: "template" if not any(box.position) else None)
     count_builds(fields.PointCharge,
                  lambda charge: "template" if not any(charge.position) else None)
+    count_builds(photon_mz.EvSetup, lambda _: "ev_setup")
     count_calls(monkeypatch, builds, protocol.required_trials)
     count_calls(monkeypatch, builds, matter_mz.ifm_efficiency)
 
-    if route == "bare-electric":
+    default_gratings = {("grating", 1 / 3, 1 / 3, 1 / 3, 0.0): 3}  # the three default gratings
+    scan = {"particle": 1, "geometry": 1, "template": 1, "required_trials": 1, "ifm_efficiency": 1}
+    if route == "ev-bomb":
+        argv, expected = ["ev-bomb", "--trials", "10"], {"ev_setup": 1}
+    elif route == "matter-null":
+        argv, expected = ["matter-null"], {"ifm_efficiency": 1, **default_gratings}
+    elif route == "bare-electric":
         argv = ["field-scan-electric", "--source-charge", "5e-6"]
-        gratings = {("grating", 1 / 3, 1 / 3, 1 / 3, 0.0): 3}  # the three default gratings
+        expected = {**scan, **default_gratings}
     else:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "field_scan_magnetic", "seed": 3,
                                    "parameters": WRITTEN_MAGNETIC_SCAN}))
         argv = ["run", str(cfg)]
-        gratings = {("grating", *g.values()): 1
-                    for g in WRITTEN_MAGNETIC_SCAN["gratings"].values()}
+        expected = {**scan, **{("grating", *g.values()): 1
+                               for g in WRITTEN_MAGNETIC_SCAN["gratings"].values()}}
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    assert builds == Counter({"particle": 1, "geometry": 1, "template": 1,
-                              "required_trials": 1, "ifm_efficiency": 1, **gratings})
+    assert builds == Counter(expected)
+
+
+def test_back_to_back_main_calls_carry_no_state(capsys):
+    # Each call's stdout must not depend on which calls ran before it in the process.
+    argvs = [["field-scan-magnetic", "--field-strength", "5e-3"],
+             ["field-scan-magnetic", "--field-strength", "2e-3", "--positions", "0.3,0.1"],
+             ["ev-bomb", "--trials", "10"]]
+    outputs = {}
+    for order in (argvs, argvs[::-1]):
+        for argv in order:
+            assert main(argv) == 0
+            out = re.sub(r'\n *"created": [^\n]*', "", capsys.readouterr().out)
+            assert outputs.setdefault(tuple(argv), out) == out, argv
+    assert len(set(outputs.values())) == 3
 
 
 # Gratings whose interaction-free efficiency is p1 * p2 = 1e-12.
