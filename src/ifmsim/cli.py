@@ -208,9 +208,9 @@ def _load_json(text: str):
 
 def config_from_dict(doc) -> ScenarioConfig:
     """Validate a raw configuration mapping, collecting every error found."""
-    errors: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["config: expected a JSON object at the top level"])
+    errors = _Errors()
     scenario = doc.get("scenario")
     if scenario is None:
         errors.append("scenario: required key is missing")
@@ -233,8 +233,7 @@ def config_from_dict(doc) -> ScenarioConfig:
         errors.append(f"{key}: unknown top-level key")
     if scenario in SCENARIOS:
         _walk(SCENARIO_TABLE[scenario].params, parameters, "parameters", errors)
-    if errors:
-        raise ConfigError(errors)
+    errors.check()
     entry = SCENARIO_TABLE[scenario]
     return ScenarioConfig(scenario=scenario, seed=seed, parameters=parameters,
                           output_path=output_path,
@@ -244,14 +243,6 @@ def config_from_dict(doc) -> ScenarioConfig:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON configuration document."""
     return config_from_dict(_load_json(text))
-
-
-def emit_config(config: ScenarioConfig) -> str:
-    """Serialize a configuration; parse_config inverts this exactly."""
-    doc = {"scenario": config.scenario, "seed": config.seed, "parameters": config.parameters}
-    if config.output_path is not None:
-        doc["output_path"] = config.output_path
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class Flag:
@@ -326,7 +317,7 @@ def _scan_params(source: dict, positions: list[float], phi_c: float) -> dict:
 
 
 class _Errors(list):
-    """The error lines of one ``prepare``; ``check`` raises them as a ConfigError."""
+    """Error lines of the spec walk or a ``prepare``; ``check`` raises them as a ConfigError."""
 
     def at(self, path: str, build: Callable, *args):
         """``build(*args)``, or None once its ValueError is recorded as ``path: message``."""
@@ -721,7 +712,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error [{config.scenario}]: {exc}", file=sys.stderr)
         return 1
     return _write_outputs(record, config.output_path)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -143,7 +143,8 @@ _TWO_PI = 2.0 * math.pi
 class TestParticle:
     """Charged classical test particle: q (statC), m (g), r0 (cm), v0 (cm/s).
 
-    Speeds are restricted to |v0| < 0.01c - the slow matter-wave regime.
+    Speeds are restricted to |v0| < 0.01c - the slow matter-wave regime - and
+    a nonzero |v0| must be a normal float, so that v0 / |v0| is a unit vector.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -160,11 +161,9 @@ class TestParticle:
             raise ValueError("charge must be finite")
         _require_positive(self.m, "mass")
         speed = math.hypot(*self.v0)
-        if speed >= MAX_SPEED_FRACTION * CGS.c:
-            raise ValueError(
-                f"|v0| = {speed:.3e} cm/s violates the nonrelativistic bound "
-                f"{MAX_SPEED_FRACTION * CGS.c:.3e} cm/s"
-            )
+        if speed >= MAX_SPEED_FRACTION * CGS.c or 0.0 < speed < sys.float_info.min:
+            raise ValueError(f"|v0| = {speed:.3e} cm/s must be 0 or a normal float below the "
+                             f"nonrelativistic bound {MAX_SPEED_FRACTION * CGS.c:.3e} cm/s")
 
 
 @dataclass(frozen=True, eq=False)
@@ -869,8 +868,8 @@ class BeamGeometry:
         object.__setattr__(self, "source_anchor", _vec3(self.source_anchor, "source_anchor"))
         d = _vec3(self.approach_direction, "approach_direction")
         norm = math.hypot(*d)
-        if norm == 0.0:
-            raise ValueError("approach_direction must be nonzero")
+        if not sys.float_info.min <= norm < math.inf:  # else d / norm is no unit vector
+            raise ValueError(f"approach_direction norm {norm} must be a normal, finite float")
         object.__setattr__(self, "approach_direction", tuple(c / norm for c in d))
 
     def source_position(self, distance: float) -> Vec3:

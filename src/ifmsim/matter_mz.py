@@ -27,7 +27,9 @@ PATH_LOWER = "lower"
 PATHS = frozenset((PATH_UPPER, PATH_LOWER))
 
 _TWO_PI = 2.0 * math.pi
-_NULL_TOL = 1e-12
+# A no-block detector probability below this counts as dark: a null whose
+# residual is below it is perfect, and a model this dark is calibrated.
+NULL_TOL = 1e-12
 
 
 def wrap_phase(x: float) -> float:
@@ -147,7 +149,7 @@ def solve_ideal_offset(model: InterferometerModel) -> NullSolution:
     w_u, w_l = path_weights(model, NO_BLOCKS)
     phase = wrap_phase(math.pi - wrap_phase(model.arm_extra_phase))
     residual = (math.sqrt(w_u) - math.sqrt(w_l)) ** 2
-    return NullSolution(phase=phase, residual=residual, perfect=residual < _NULL_TOL)
+    return NullSolution(phase=phase, residual=residual, perfect=residual < NULL_TOL)
 
 
 def ifm_efficiency(g1: GratingSpec, g2: GratingSpec) -> float:

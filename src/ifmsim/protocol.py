@@ -39,6 +39,7 @@ from .fields import (
 from .matter_mz import (
     BLOCK_UPPER,
     NO_BLOCKS,
+    NULL_TOL,
     InterferometerModel,
     NullSolution,
     detector_probability,
@@ -46,10 +47,6 @@ from .matter_mz import (
     wrap_phase,
 )
 from .photon_mz import _count_below, _require_count
-
-# A model counts as calibrated when its no-block detector probability is
-# below this threshold.
-CALIBRATED_NULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,7 @@ def run_field_scan(
     raises :class:`ProtocolError`.
     """
     p_null = detector_probability(model, NO_BLOCKS)
-    if p_null >= CALIBRATED_NULL_TOL:
+    if p_null >= NULL_TOL:
         raise ValueError(
             f"model is not calibrated: no-block detector probability {p_null:.3e}"
         )

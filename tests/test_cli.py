@@ -19,7 +19,6 @@ from ifmsim.cli import (
     ConfigError,
     ScenarioConfig,
     config_from_dict,
-    emit_config,
     main,
     parse_config,
     run_scenario,
@@ -155,12 +154,12 @@ def random_config(rng: np.random.Generator) -> ScenarioConfig:
     return make_config(scenario, seed, params, output)
 
 
-class TestRoundTrip:
-    def test_emit_parse_identity_over_generated_configs(self):
+class TestGeneratedConfigs:
+    def test_all_validate(self):
         rng = np.random.default_rng(50)
         for _ in range(100):
             config = random_config(rng)
-            assert parse_config(emit_config(config)) == config
+            assert config.scenario in cli.SCENARIOS and callable(config.plan)
 
 
 class TestRunScenario:
@@ -463,12 +462,21 @@ class TestMainExitCodes:
                            "v0": [0, 1e8, 0]}}, "parameters.particle"),
             ({"geometry": {"exit_plane_x": 0.5, "source_anchor": [0, 0, 0],
                            "approach_direction": [0, 0, 0]}}, "parameters.geometry"),
+            ({"geometry": {"exit_plane_x": 0.5, "source_anchor": [0, 0, 0],
+                           "approach_direction": [1.7e308, 1.7e308, 0]}}, "parameters.geometry"),
+            ({"geometry": {"exit_plane_x": 0.5, "source_anchor": [0, 0, 0],
+                           "approach_direction": [5e-324, 5e-324, 0]}}, "parameters.geometry"),
+            ({"particle": {"q": -4.8e-10, "m": 9.11e-28, "r0": [-0.5, 0, 0],
+                           "v0": [1e-323, 5e-324, 0]}}, "parameters.particle"),
         ],
-        ids=["plane-behind", "moving-away", "moving-sideways", "no-approach-direction"],
+        ids=["plane-behind", "moving-away", "moving-sideways", "no-approach-direction",
+             "huge-approach-direction", "subnormal-approach-direction", "subnormal-speed"],
     )
     def test_bad_launch_and_geometry_exit_2(self, scenario, source, parameters, field,
                                             tmp_path, capsys, compute_calls):
-        # Each of these exited 1 after calibration had run.
+        # The first four exited 1 after calibration had run.  A huge or
+        # subnormal approach_direction and a subnormal |v0| ran on a wrong unit
+        # vector: exit 1, or exit 0 with a wrong payload.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": scenario, "seed": 1,
                                    "parameters": {**source, **parameters}}))
@@ -731,6 +739,27 @@ def test_back_to_back_main_calls_carry_no_state(capsys):
             out = re.sub(r'\n *"created": [^\n]*', "", capsys.readouterr().out)
             assert outputs.setdefault(tuple(argv), out) == out, argv
     assert len(set(outputs.values())) == 3
+
+
+@pytest.mark.parametrize("argv, parameters", [
+    (["ev-bomb"], {"object_present": True}),
+    (["zeno", "--cycles", "64"], {"n_cycles": 64, "object_present": True}),
+    (["matter-null"], {}),
+    (["field-scan-electric", "--source-charge", "5e-6"], {"source_charge": 5e-6}),
+    (["field-scan-magnetic", "--field-strength", "5e-3"], {"field_vector": [0.0, 0.0, 5e-3]}),
+    (["gravity-deflection", "--target-deflection", "1e-9"], {"delta_phi": 1e-9}),
+], ids=[name.replace("_", "-") for name in cli.SCENARIOS])
+def test_subcommand_defaults_are_the_spec_defaults(argv, parameters, tmp_path, capsys):
+    # Flag defaults (--trials, --object-arm, the phases, --grating-p, --cage-dv,
+    # --enclosed-flux) restate the spec's; a run of the bare required keys must match.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": argv[0].replace("-", "_"), "seed": 0,
+                               "parameters": parameters}))
+    outputs = []
+    for args in (argv, ["run", str(cfg)]):
+        assert main(args) == 0
+        outputs.append(re.sub(r'\n *"created": [^\n]*', "", capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 # Gratings whose interaction-free efficiency is p1 * p2 = 1e-12.

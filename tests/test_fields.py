@@ -3,6 +3,7 @@
 import decimal
 import hashlib
 import math
+import sys
 import time
 
 import numpy as np
@@ -503,6 +504,12 @@ def decimal_coulomb_deflection(source_charge: float, distance: float) -> decimal
         return _decimal_atan(abs(speed * dvy) / (speed * (speed + dvx)))
 
 
+def binding_charge(particle: TestParticle, position) -> float:
+    """The attracting charge at ``position`` that just binds ``particle``: mu = v0^2 r0 / 2."""
+    r0 = math.dist(particle.r0, position)
+    return 0.5 * speed(particle.v0) ** 2 * r0 / abs(particle.q / particle.m)
+
+
 class TestCoulombDeflection:
     def test_matches_inline_hyperbola(self):
         rng = np.random.default_rng(55)
@@ -601,6 +608,42 @@ class TestCoulombDeflection:
             coulomb_deflection(beam_particle(), src, 0.5)
         with pytest.raises(StepLimitError):
             integrate_trajectory(beam_particle(), src, 0.5, 1e-11, max_steps=20_000)
+
+    @pytest.mark.parametrize("factor", [1.02, 1.1, 1.3])
+    @pytest.mark.parametrize("position", [[0.45, 0.5, 0.0], [0.45, -0.4, 0.2]],
+                             ids=["planar", "3d"])
+    def test_bound_orbit_crossing_the_plane_matches_rk4(self, position, factor):
+        # Past the binding charge the orbit is an ellipse; it crosses the plane
+        # before it closes, so the exact angle comes from the ellipse.
+        particle = beam_particle()
+        src = PointCharge(q=factor * binding_charge(particle, position), position=position)
+        exact = coulomb_deflection(particle, src, 0.5)
+        rk4 = integrate_trajectory(particle, src, 0.5, 1e-12).deflection_angle
+        assert abs(exact / rk4 - 1.0) <= 1e-9
+
+    def test_bound_orbit_short_of_the_plane_raises_step_limit_at_once(self):
+        # u never reaches 0 on an ellipse, so no escape angle bounds the search.
+        particle = beam_particle()
+        position = [0.3, 0.1, 0.0]
+        src = PointCharge(q=1.5 * binding_charge(particle, position), position=position)
+        start = time.perf_counter()
+        with pytest.raises(StepLimitError, match="turns back"):
+            coulomb_deflection(particle, src, 0.5)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("q", [-1e-6, 1e-4], ids=["repelled", "slowed"])
+    def test_outward_radial_launch_is_undeflected(self, q):
+        # Launched straight away from the charge, the particle keeps its line.
+        src = PointCharge(q=q, position=[-1.0, 0.0, 0.0])
+        assert coulomb_deflection(beam_particle(), src, 0.5) == 0.0
+        assert integrate_trajectory(beam_particle(), src, 0.5, 1e-11).deflection_angle == 0.0
+
+    def test_outward_radial_launch_falling_back_is_singular(self):
+        src = PointCharge(q=3e-2, position=[-1.0, 0.0, 0.0])
+        with pytest.raises(SingularityError):
+            coulomb_deflection(beam_particle(), src, 0.5)
+        with pytest.raises(SingularityError):
+            integrate_trajectory(beam_particle(), src, 0.5, 1e-11)
 
     @pytest.mark.parametrize(
         "r0, v0",
@@ -898,6 +941,20 @@ class TestScanRow:
         src = PointCharge(q=1e-12, position=[0.0, 0.0, 0.0])
         _, magnitude = scan_row(particle, src, geometry, 0.5, 1e-10)
         assert magnitude == pytest.approx(1e-12 / (2.0 + 0.5**2), rel=1e-14)
+
+    def test_unit_vectors_need_a_normal_finite_norm(self):
+        # These passed, and rows ran on (0, 0, 0), (1, 1, 0) and (1, 0.5, 0).
+        for direction in ([1.7e308, 1.7e308, 0.0], [5e-324, 5e-324, 0.0]):
+            with pytest.raises(ValueError, match="^approach_direction norm"):
+                BeamGeometry(exit_plane_x=0.5, source_anchor=[0, 0, 0],
+                             approach_direction=direction)
+        with pytest.raises(ValueError, match="must be 0 or a normal float"):
+            TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[-0.5, 0, 0], v0=[1e-323, 5e-324, 0])
+        tiny = sys.float_info.min
+        geometry = BeamGeometry(exit_plane_x=0.5, source_anchor=[0, 0, 0],
+                                approach_direction=[tiny, 0.0, 0.0])
+        assert geometry.approach_direction == (1.0, 0.0, 0.0)
+        assert TestParticle(q=ELECTRON_Q, m=ELECTRON_M, r0=[0, 0, 0], v0=[0, 0, 0]).v0 == (0.0,) * 3
 
     @pytest.mark.filterwarnings("error")
     def test_far_source_and_tiny_speed_do_not_overflow(self):
