@@ -14,13 +14,13 @@ may differ.
 
 Each scenario is one entry of ``SCENARIO_TABLE``: its parameter spec (keys,
 kinds, ranges, defaults), its subcommand flags, its ``prepare`` and its
-summary.  Validation walks the spec (types, ranges, required keys), then
-``prepare`` fills in the defaults, builds each domain object the run needs
-once and binds the scenario's runner (see :mod:`runners`) to them; that bound
-call is the plan that ``run_scenario`` calls.
+summary.  One walk over the spec checks the parameters (types, ranges,
+required keys) and fills in the defaults; ``prepare`` then builds each domain
+object the run needs once and binds the scenario's runner (see :mod:`runners`)
+to them; that bound call is the plan that ``run_scenario`` calls.
 
-Exit codes: 0 on success, 2 for configuration/validation errors, 1 for
-runtime failures.
+Exit codes: 0 on success, 2 for configuration/validation errors (all listed,
+each broken gravity mode rule among them), 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -75,13 +75,12 @@ class ScenarioConfig:
 
     scenario: str
     seed: int
-    parameters: dict
+    plan: Callable[[], dict] = field(compare=False, repr=False)
     output_path: str | None = None
-    plan: Callable[[], dict] | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
-# Validation: a walk over the scenario's spec, then its ``prepare``
+# Validation: one walk over the scenario's spec, then its ``prepare``
 # ---------------------------------------------------------------------------
 
 
@@ -169,33 +168,29 @@ def _value_error(par: Param, value) -> str | None:
     return None
 
 
-def _walk(spec: dict, block: dict, path: str, errors: list[str]) -> None:
-    """Check ``block`` against ``spec``, appending one error per bad key."""
+def _walk(spec: dict, block: dict, path: str, errors: list[str]) -> dict:
+    """Check ``block`` against ``spec`` and return it with every left-out key at its default.
+
+    Each bad key appends one error.  A left-out block is only filled, since
+    required keys must be written only where their block is.  Written values,
+    unknown keys among them, are kept as given: an integer ``0`` stays ``0``.
+    """
+    out = dict(block)
     for key, par in spec.items():
         where = f"{path}.{key}"
         if key not in block:
             if par.required:
                 errors.append(f"{where}: required key is missing")
+            if par.kind == "block":
+                out[key] = _walk(par.fields, {}, where, [])
+            elif par.default is not None:
+                out[key] = par.default
             continue
         problem = _value_error(par, block[key])
         if problem:
             errors.append(f"{where}: {problem}")
         elif par.kind == "block":
-            _walk(par.fields, block[key], where, errors)
-
-
-def _filled(spec: dict, block: dict) -> dict:
-    """``block`` with every left-out key at its default, sub-blocks included.
-
-    Written values, unknown keys among them, are kept exactly as given, so
-    echoed blocks keep an integer ``0`` as ``0``.
-    """
-    out = dict(block)
-    for key, par in spec.items():
-        if par.kind == "block":
-            out[key] = _filled(par.fields, block.get(key, {}))
-        elif key not in out and par.default is not None:
-            out[key] = par.default
+            out[key] = _walk(par.fields, block[key], where, errors)
     return out
 
 
@@ -232,17 +227,10 @@ def config_from_dict(doc) -> ScenarioConfig:
     for key in sorted(unknown):
         errors.append(f"{key}: unknown top-level key")
     if scenario in SCENARIOS:
-        _walk(SCENARIO_TABLE[scenario].params, parameters, "parameters", errors)
+        parameters = _walk(SCENARIO_TABLE[scenario].params, parameters, "parameters", errors)
     errors.check()
-    entry = SCENARIO_TABLE[scenario]
-    return ScenarioConfig(scenario=scenario, seed=seed, parameters=parameters,
-                          output_path=output_path,
-                          plan=entry.prepare(_filled(entry.params, parameters), seed))
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON configuration document."""
-    return config_from_dict(_load_json(text))
+    return ScenarioConfig(scenario=scenario, seed=seed, output_path=output_path,
+                          plan=SCENARIO_TABLE[scenario].prepare(parameters, seed))
 
 
 class Flag:
@@ -447,16 +435,17 @@ def _prepare_scan(p: dict, seed: int, magnetic: bool) -> partial:
 
 def _prepare_gravity(p: dict, seed: int) -> partial:
     """The two gravity modes: mass with impact_parameter, and/or delta_phi with optional density."""
+    errors = _Errors()
     if ("mass" in p) != ("impact_parameter" in p):
         missing = "mass" if "impact_parameter" in p else "impact_parameter"
-        raise ConfigError([f"parameters.{missing}: required key is missing"])
+        errors.append(f"parameters.{missing}: required key is missing")
     if "mass" not in p and "delta_phi" not in p:
-        raise ConfigError(
-            ["parameters: provide mass+impact_parameter and/or delta_phi (with optional density)"])
+        errors.append("parameters: provide mass+impact_parameter and/or delta_phi "
+                      "(with optional density)")
     if "density" in p and "delta_phi" not in p:
-        raise ConfigError(["parameters.density: only used with delta_phi, which is missing"])
+        errors.append("parameters.density: only used with delta_phi, which is missing")
+    errors.check()
     # Each value is a finite float, but the results can still overflow one.
-    errors = _Errors()
     mass = b = delta_phi = density = None
     if "mass" in p:
         mass, b = float(p["mass"]), float(p["impact_parameter"])
@@ -673,7 +662,7 @@ def _config_from_namespace(ns: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError([f"config: cannot read {ns.config}: {exc}"]) from exc
         doc = _load_json(text)
         if not isinstance(doc, dict):
-            raise ConfigError(["config: expected a JSON object at the top level"])
+            return config_from_dict(doc)  # which reports the top-level error
         if ns.seed is not None:
             doc["seed"] = ns.seed
         # ``--trials`` lands where the scenario's own ``--trials`` flag puts it.

@@ -753,6 +753,8 @@ def _box_exit(
     until it first leaves the box or reaches the plane.  Returns that point r
     and the velocity change dv along the way, as lists of floats.
     """
+    if not isinstance(box, (UniformBRegion, UniformERegion)):
+        raise TypeError(f"unsupported field box {type(box).__name__}")
     q_m = particle.q / particle.m
     r0, v0 = particle.r0, particle.v0
     lo, hi = box.box_min, box.box_max
@@ -791,7 +793,7 @@ def _box_exit(
         t = min(_quadratic_exit(g, s * v0[i], 0.5 * s * a[i]) for i, s, g in planes)
         dv = [ai * t for ai in a]
         r = [p[i] + (v0[i] + 0.5 * a[i] * t) * t for i in range(3)]
-    elif isinstance(box, UniformBRegion):
+    else:
         # dv/dt = w x v with w = -q B / (m c): v turns about w_hat at rate |w|.
         wx, wy, wz = (-q_m / CGS.c * b for b in box.B)
         omega = math.hypot(wx, wy, wz)
@@ -817,8 +819,6 @@ def _box_exit(
         dv = [turn[i] * sin_t - perp[i] * one_minus_cos for i in range(3)]
         r = [p[i] + (drift[i] * theta + perp[i] * sin_t + turn[i] * one_minus_cos) / omega
              for i in range(3)]
-    else:
-        raise TypeError(f"unsupported field box {type(box).__name__}")
     # On the plane x moves toward it; at a face it must, or the line out never gets there.
     if (v0[0] + dv[0]) * direction <= 0.0:
         raise StepLimitError("exit plane not reached: the path turns back in the field box")

@@ -20,7 +20,6 @@ from ifmsim.cli import (
     ScenarioConfig,
     config_from_dict,
     main,
-    parse_config,
     run_scenario,
 )
 from ifmsim.records import payload_text, record_text, scan_table_text
@@ -35,16 +34,17 @@ def make_config(scenario, seed, parameters, output_path=None) -> ScenarioConfig:
 
 class TestParseConfig:
     def test_minimal_ev_bomb(self):
-        config = parse_config(
+        config = config_from_dict(json.loads(
             '{"scenario": "ev_bomb", "seed": 1, "parameters": {"object_present": true}}'
-        )
+        ))
         assert config.scenario == "ev_bomb"
         assert config.seed == 1
-        assert config.parameters == {"object_present": True}
+        assert config.output_path is None and callable(config.plan)
 
     def test_missing_seed_named(self):
         with pytest.raises(ConfigError) as err:
-            parse_config('{"scenario": "ev_bomb", "parameters": {"object_present": true}}')
+            config_from_dict(json.loads(
+                '{"scenario": "ev_bomb", "parameters": {"object_present": true}}'))
         assert any(e.startswith("seed:") for e in err.value.errors)
 
     def test_zero_trials_is_range_error(self):
@@ -59,7 +59,7 @@ class TestParseConfig:
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError) as err:
-            parse_config('{"scenario": "warp_drive", "seed": 0}')
+            config_from_dict(json.loads('{"scenario": "warp_drive", "seed": 0}'))
         assert any(e.startswith("scenario:") for e in err.value.errors)
 
     def test_all_errors_collected(self):
@@ -78,10 +78,11 @@ class TestParseConfig:
         assert "bogus" in text
         assert len(err.value.errors) >= 5
 
-    def test_invalid_json(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config("{nope")
-        assert any("invalid JSON" in e for e in err.value.errors)
+    def test_invalid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{nope")
+        assert main(["run", str(cfg)]) == 2
+        assert "config: invalid JSON" in capsys.readouterr().err
 
     def test_invalid_seed_values(self):
         for seed in (-1, 2**64, 1.5, "7", True):
@@ -620,6 +621,11 @@ class TestMainExitCodes:
              ["output_path: expected a string path"]),
             ({"scenario": "gravity_deflection", "seed": 1, "parameters": {"mass": 1e27}},
              ["parameters.impact_parameter: required key is missing"]),
+            # The mode rules used to stop at the first one broken.
+            ({"scenario": "gravity_deflection", "seed": 1,
+              "parameters": {"mass": 1.0, "density": 3.0}},
+             ["parameters.impact_parameter: required key is missing",
+              "parameters.density: only used with delta_phi, which is missing"]),
             ({"scenario": "zeno", "seed": 1, "parameters": []},
              ["parameters: expected an object",
               "parameters.n_cycles: required key is missing",
@@ -865,6 +871,14 @@ def test_readme_commands_run(argv, tmp_path):
         argv += ["--output", str(tmp_path / "out.json")]
     assert main(argv) == 0
     assert (tmp_path / "out.json").exists()
+
+
+def test_readme_library_block_runs():
+    """The README's Library block imports from the top-level ``ifmsim``, as its comments say."""
+    namespace: dict = {}
+    exec(README.split("```python", 1)[1].split("```", 1)[0], namespace)
+    assert namespace["particle"].v0 == (100000000.0, 0.0, 0.0)
+    assert namespace["counts"] == namespace["same"]  # a seed gives a Generator's counts
 
 # ---------------------------------------------------------------------------
 # Contract pins: payload bytes, scan tables and the parser surface, recorded

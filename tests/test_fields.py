@@ -34,6 +34,8 @@ from ifmsim.fields import (
     _rk4_exit,
     _rk4_run,
     _box_exit,
+    _brent,
+    _quadratic_exit,
     box_deflection,
     _check_launch,
     coulomb_deflection,
@@ -305,8 +307,10 @@ class TestIntegrateTrajectory:
     @pytest.mark.parametrize(
         "source",
         [PointCharge(q=1e300, position=[0.0, 0.2, 0.0]),
-         PointCharge(q=5e-6, position=[0.0, 1e300, 0.0])],
-        ids=["q-overflow", "far-source"],
+         PointCharge(q=5e-6, position=[0.0, 1e300, 0.0]),
+         # v turns infinite inside the box; only the state on the plane shows it.
+         UniformERegion(E=[0.0, 1e308, 0.0], box_min=[-0.2, -1, -1], box_max=[0.2, 1, 1])],
+        ids=["q-overflow", "far-source", "box-overflow"],
     )
     def test_non_finite_state_raises_at_once(self, source):
         # q*Q/m overflows, or (1e300)^2 does: the accelerations turn NaN, and
@@ -840,6 +844,15 @@ class TestBoxDeflection:
         with pytest.raises(ValueError, match="not finite"):
             box_deflection(beam_particle(), box, 0.5)
 
+    def test_overflowing_gyrofrequency_rejected(self):
+        particle = TestParticle(q=-1e300, m=1e-300, r0=[-0.5, 0, 0], v0=[BEAM_SPEED, 0, 0])
+        box = UniformBRegion(B=[0, 0, 1e300], box_min=[-0.2, -1, -1], box_max=[0.2, 1, 1])
+        with pytest.raises(ValueError, match="^the gyrofrequency .* is not finite$"):
+            box_deflection(particle, box, 0.5)
+
+    def test_start_on_a_face_moving_out_exits_at_once(self):
+        assert _quadratic_exit(0.0, 1.0, 0.0) == 0.0
+
 
 BAD_LAUNCHES = [([-0.5, 0, 0], [-BEAM_SPEED, 0, 0]), ([0.6, 0, 0], [BEAM_SPEED, 0, 0]),
                 ([-0.5, 0, 0], [0, BEAM_SPEED, 0])]
@@ -1100,6 +1113,18 @@ class TestCriticalDistance:
         with pytest.raises(ValueError, match="^dt must be finite and positive"):
             critical_distance(beam_particle(), src, beam_geometry(), 2e-3, (0.10, 0.40), dt)
 
+    def test_reversed_bracket_rejected(self):
+        src = PointCharge(q=5e-6, position=[0, 1, 0])
+        with pytest.raises(ValueError, match="^bracket must satisfy 0 < near < far"):
+            critical_distance(beam_particle(), src, beam_geometry(), 2e-3, (0.40, 0.10), 1e-11)
+
+    def test_brent_bisects_where_interpolation_stalls(self):
+        # A triple root is flat: Brent refuses the interpolated steps and bisects.
+        def f(x):
+            return (0.3 - x) ** 3
+
+        assert abs(_brent(f, 0.1, f(0.1), 0.4, f(0.4), 1e-12) - 0.3) <= 0.5e-12 * 0.3
+
     def test_bracket_must_straddle(self):
         particle = beam_particle()
         geom = beam_geometry()
@@ -1198,6 +1223,10 @@ NONFINITE_INPUTS = {
                                                "target deflection must be finite and positive"),
     "sphere_radius_for_deflection-density": (lambda v: sphere_radius_for_deflection(1e-9, v),
                                              "density must be finite and positive"),
+    "PointCharge-q": (lambda v: PointCharge(q=v, position=[0.0, 0.2, 0.0]),
+                      "charge must be finite"),
+    "PointCharge-position": (lambda v: PointCharge(q=1e-6, position=[v, 0.0, 0.0]),
+                             "position must be finite"),
 }
 
 
@@ -1219,6 +1248,22 @@ def vector_holders():
         "UniformERegion": (UniformERegion(E=[1.0, 0.0, 0.0], **box), ("E", "box_min", "box_max")),
         "BeamGeometry": (beam_geometry(), ("source_anchor", "approach_direction")),
     }
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_fields(object(), [0.0, 0.0, 0.0]),
+        lambda: integrate_trajectory(beam_particle(), object(), 0.5, 1e-11),
+        lambda: with_position(object(), [0.0, 0.2, 0.0]),
+        # _box_exit read box.box_min first and raised AttributeError.
+        lambda: box_deflection(beam_particle(), PointCharge(q=1e-6, position=[0, 0.2, 0]), 0.5),
+    ],
+    ids=["eval_fields", "integrate_trajectory", "with_position", "box_deflection"],
+)
+def test_unsupported_source_rejected(call):
+    with pytest.raises(TypeError, match="^unsupported field (source|box) "):
+        call()
 
 
 @pytest.mark.parametrize("kind", list(vector_holders()))

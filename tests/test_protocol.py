@@ -239,6 +239,14 @@ class TestRequiredTrials:
         assert -math.expm1(m * math.log1p(-p)) >= 0.999
         assert -math.expm1((m - 1) * math.log1p(-p)) < 0.999
 
+    def test_ceiling_that_rounds_low_is_stepped_up(self):
+        # The estimate log1p(-conf)/log1p(-p) rounds to exactly 5.0, but five
+        # trials reach just under conf.
+        p, conf = 0.09738008983062874, 0.40086520077136545
+        assert math.log1p(-conf) / math.log1p(-p) == 5.0
+        assert -math.expm1(5 * math.log1p(-p)) < conf
+        assert required_trials(p, conf) == 6
+
     def test_subnormal_probability_rejected(self):
         with pytest.raises(ValueError):
             required_trials(5e-324, 0.999)
