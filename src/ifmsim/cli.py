@@ -19,6 +19,10 @@ required keys) and fills in the defaults; ``prepare`` then builds each domain
 object the run needs once and binds the scenario's runner (see :mod:`runners`)
 to them; that bound call is the plan that ``run_scenario`` calls.
 
+The argument parser is built from the same table once per process, on the
+first ``build_parser`` call, and never changed after that; every ``main``
+call parses with that one object.
+
 Exit codes: 0 on success, 2 for configuration/validation errors (all listed,
 each broken gravity mode rule among them), 1 for runtime failures.
 """
@@ -30,7 +34,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -197,7 +201,8 @@ def _walk(spec: dict, block: dict, path: str, errors: list[str]) -> dict:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
+    # JSONDecodeError, an int literal over the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
 
 
@@ -621,7 +626,13 @@ def _write_outputs(record: ResultRecord, output_path: str | None) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ifmsim`` parser: ``run`` and one subcommand per scenario.
+
+    It is built once per process, on the first call, and every later call
+    returns that same object, which nothing changes after it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="ifmsim",
         description="Interaction-free measurement simulator: bomb tests, "

@@ -1,5 +1,6 @@
 """Configuration validation, record emission, determinism, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -653,16 +654,24 @@ class TestMainExitCodes:
             "", f"configuration errors:\n  --trials: scenario '{scenario}' takes no trial count\n")
 
     def test_overlong_int_literal_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            '{"scenario": "ev_bomb", "seed": 1, '
-            '"parameters": {"object_present": true, "arm_phase": 1' + "0" * 5000 + "}}"
-        )
-        assert main(["run", str(cfg)]) == 2
+        # Raw config texts that the JSON decoder refuses, each with its error text.
         # Pythons with an int-string digit limit refuse the literal while parsing.
-        expected = ("config: invalid JSON" if hasattr(sys, "get_int_max_str_digits")
-                    else "parameters.arm_phase: ")
-        assert expected in capsys.readouterr().err
+        texts = {
+            '{"scenario": "ev_bomb", "seed": 1, "parameters": {"object_present": true, '
+            '"arm_phase": 1' + "0" * 5000 + "}}":
+                "config: invalid JSON" if hasattr(sys, "get_int_max_str_digits")
+                else "parameters.arm_phase: ",
+            # Nesting past the decoder's recursion limit, bare and under parameters.
+            "[" * 100_000 + "]" * 100_000: "config: invalid JSON: ",
+            '{"scenario": "ev_bomb", "seed": 1, "parameters": '
+            + '{"a": ' * 5000 + "1" + "}" * 5001: "config: invalid JSON: ",
+        }
+        cfg = tmp_path / "cfg.json"
+        for text, expected in texts.items():
+            cfg.write_text(text)
+            assert main(["run", str(cfg)]) == 2, text[:60]
+            out, err = capsys.readouterr()
+            assert out == "" and expected in err, (text[:60], err[:200])
 
 
 # Every key of a magnetic scan written out, but for trials_per_position, which
@@ -738,13 +747,43 @@ def test_back_to_back_main_calls_carry_no_state(capsys):
     argvs = [["field-scan-magnetic", "--field-strength", "5e-3"],
              ["field-scan-magnetic", "--field-strength", "2e-3", "--positions", "0.3,0.1"],
              ["ev-bomb", "--trials", "10"]]
+    # Calls that leave through argparse, with their exit codes, run between the
+    # valid calls; each must print the same text every time.
+    exits = [(["--version"], 0), (["ev-bomb", "--help"], 0),
+             (["ev-bomb", "--no-such-option"], 2), (["zeno"], 2)]
     outputs = {}
-    for order in (argvs, argvs[::-1]):
+    texts = {}
+    for order, exit_order in ((argvs, exits), (argvs[::-1], exits[::-1])):
         for argv in order:
             assert main(argv) == 0
             out = re.sub(r'\n *"created": [^\n]*', "", capsys.readouterr().out)
             assert outputs.setdefault(tuple(argv), out) == out, argv
+            for exit_argv, code in exit_order:
+                with pytest.raises(SystemExit) as exc:
+                    main(exit_argv)
+                assert exc.value.code == code, exit_argv
+                text = capsys.readouterr()
+                assert texts.setdefault(tuple(exit_argv), text) == text, exit_argv
     assert len(set(outputs.values())) == 3
+    assert all(out or err for out, err in texts.values())
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    # After a first call, main constructs no ArgumentParser (neither the top
+    # level nor the 7 subcommands): every call parses with the one parser.
+    assert main(["zeno", "--cycles", "8"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert main(["ev-bomb", "--trials", "10"]) == 0
+    assert main(["matter-null", "--seed", "3"]) == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("argv, parameters", [

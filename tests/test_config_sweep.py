@@ -6,9 +6,13 @@ then either list errors, each at a field path of the spec, or return a config;
 a returned config of a scenario that samples or evaluates closed forms must
 also run and record only finite numbers.  Scans are validated but not run:
 their rows cost RK4 integration.  Unknown keys are left out.
+
+The public constructors get the same values, one argument at a time: each
+call must raise ``ValueError`` or ``TypeError`` or return only finite floats.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -17,6 +21,10 @@ import pytest
 
 from ifmsim import cli
 from ifmsim.cli import MAX_POSITIONS, ConfigError, config_from_dict, run_scenario
+from ifmsim.fields import BeamGeometry, PointCharge, TestParticle, UniformBRegion
+from ifmsim.matter_mz import GratingSpec
+from ifmsim.photon_mz import ARMS, MAX_CYCLES, EvSetup, zeno_ifm_distribution
+from ifmsim.protocol import ScanConfig
 from ifmsim.records import payload_text
 
 # A valid config of each scenario, to which the walk adds every default.
@@ -120,3 +128,89 @@ def test_extreme_values_exit_2_at_a_field_path_or_run(scenario):
                 continue
             json.loads(text, parse_constant=lambda c: faults.append(f"{label}: payload has {c}"))
     assert faults == []
+
+
+GEOMETRY = BeamGeometry(0.5, (0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+PROBABILITY = cli.Param("number", low=0.0, high=1.0)
+POSITIVE = cli.Param("number", above=0.0)
+VECTOR = cli.Param("vector")
+
+# Each constructor's arguments: a valid value, and the Param whose kind and
+# bounds (the constructor's own rules) give the values swept in its place;
+# None keeps the valid value.
+CONSTRUCTORS = {
+    EvSetup: {"object_present": (True, cli.Param("bool")),
+              "object_arm": ("upper", cli.Param("choice", choices=ARMS)),
+              "arm_phase": (0.0, cli.Param("number"))},
+    GratingSpec: {"p_minus1": (1 / 3, PROBABILITY), "p_0": (1 / 3, PROBABILITY),
+                  "p_plus1": (1 / 3, PROBABILITY), "loss": (0.0, PROBABILITY)},
+    TestParticle: {"q": (-4.8e-10, cli.Param("number")), "m": (9.11e-28, POSITIVE),
+                   "r0": ([-0.5, 0.0, 0.0], VECTOR), "v0": ([1e8, 0.0, 0.0], VECTOR)},
+    PointCharge: {"q": (5e-6, cli.Param("number")), "position": ([0.0, 0.4, 0.0], VECTOR)},
+    UniformBRegion: {"B": ([0.0, 0.0, 1e-3], VECTOR), "box_min": ([-0.2, -0.08, -0.2], VECTOR),
+                     "box_max": ([0.2, 0.08, 0.2], VECTOR)},
+    BeamGeometry: {"exit_plane_x": (0.5, cli.Param("number")),
+                   "source_anchor": ([0.0, 0.0, 0.0], VECTOR),
+                   "approach_direction": ([0.0, 1.0, 0.0], VECTOR)},
+    ScanConfig: {"positions": ([0.3, 0.2], cli.Param("positions")),
+                 "trials_per_position": (100, cli.Param("int", low=1)),
+                 "confidence_target": (0.999, cli.Param("number", above=0.0, below=1.0)),
+                 "phi_c": (2e-3, POSITIVE), "seed": (1, cli.Param("int", low=0)),
+                 "geometry": (GEOMETRY, None), "dt": (1e-11, POSITIVE)},
+    zeno_ifm_distribution: {"n_cycles": (8, cli.Param("int", low=1, high=MAX_CYCLES)),
+                            "object_present": (True, cli.Param("bool"))},
+}
+
+# The arguments where an integer past the float range (10**400, alone or as a
+# vector entry) raises OverflowError from float() or math.isfinite instead of
+# ValueError.  Listed as FOUND in CHANGES.md; a mended argument leaves this set.
+KNOWN_OVERFLOWS = {
+    ("EvSetup", "arm_phase"),
+    ("TestParticle", "q"), ("TestParticle", "r0"), ("TestParticle", "v0"),
+    ("PointCharge", "q"), ("PointCharge", "position"),
+    ("UniformBRegion", "B"), ("UniformBRegion", "box_min"), ("UniformBRegion", "box_max"),
+    ("BeamGeometry", "source_anchor"), ("BeamGeometry", "approach_direction"),
+    ("ScanConfig", "positions"),
+}
+
+
+def _floats(obj):
+    """Every float in ``obj``, through tuples, lists and dataclass fields."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _floats(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _floats(getattr(obj, f.name))
+
+
+def _holds_huge_int(value) -> bool:
+    """True for 10**400, or a list that holds it."""
+    return any(map(_holds_huge_int, value)) if isinstance(value, list) else value == 10**400
+
+
+def test_constructors_reject_or_return_finite_floats():
+    faults, overflows, cases = [], set(), 0
+    for build, args in CONSTRUCTORS.items():
+        name = build.__name__
+        valid = {arg: value for arg, (value, _) in args.items()}
+        for arg, (base, par) in args.items():
+            for value in _values(par, base) if par else ():
+                cases += 1
+                label = f"{name}({arg}={value!r:.60})"
+                try:
+                    made = build(**{**valid, arg: value})
+                except (ValueError, TypeError):
+                    continue
+                except Exception as exc:  # any other exception is a fault; list them all
+                    if isinstance(exc, OverflowError) and _holds_huge_int(value):
+                        overflows.add((name, arg))
+                    else:
+                        faults.append(f"{label} raised {type(exc).__name__}: {exc}")
+                    continue
+                faults += [f"{label} holds {x}" for x in _floats(made) if not math.isfinite(x)]
+    assert cases > 700
+    assert faults == []
+    assert overflows == KNOWN_OVERFLOWS
