@@ -656,15 +656,18 @@ class TestMainExitCodes:
     def test_overlong_int_literal_exits_2(self, tmp_path, capsys):
         # Raw config texts that the JSON decoder refuses, each with its error text.
         # Pythons with an int-string digit limit refuse the literal while parsing.
+        # The nesting depth is past every decoder limit: the interpreter's recursion
+        # limit up to 3.11, and the fixed C recursion limit (about 10,000) after.
+        depth = 100_000
         texts = {
             '{"scenario": "ev_bomb", "seed": 1, "parameters": {"object_present": true, '
             '"arm_phase": 1' + "0" * 5000 + "}}":
                 "config: invalid JSON" if hasattr(sys, "get_int_max_str_digits")
                 else "parameters.arm_phase: ",
             # Nesting past the decoder's recursion limit, bare and under parameters.
-            "[" * 100_000 + "]" * 100_000: "config: invalid JSON: ",
+            "[" * depth + "]" * depth: "config: invalid JSON: ",
             '{"scenario": "ev_bomb", "seed": 1, "parameters": '
-            + '{"a": ' * 5000 + "1" + "}" * 5001: "config: invalid JSON: ",
+            + '{"a": ' * depth + "1" + "}" * (depth + 1): "config: invalid JSON: ",
         }
         cfg = tmp_path / "cfg.json"
         for text, expected in texts.items():
