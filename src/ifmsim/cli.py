@@ -46,6 +46,7 @@ from .fields import (
     TestParticle,
     UniformBRegion,
     _check_launch,
+    _finite,
     light_deflection,
     with_position,
 )
@@ -57,7 +58,9 @@ from .records import ResultRecord, make_metadata, record_text, scan_table_text
 MAX_SEED = 2**64 - 1
 
 # Caps that keep every valid input bounded in time and memory.  Sampling
-# takes time linear in the trials but fixed memory, and an electric scan
+# takes time linear in the trials but fixed memory: one block of draws per
+# worker thread, at most 4 blocks (photon_mz._count_split), with counts that
+# do not depend on the CPU count.  An electric scan
 # integrates one trajectory per position at up to (path length / speed) / dt
 # RK4 steps; a magnetic scan row is exact, in O(1).
 MAX_TRIALS = 10_000_000
@@ -108,14 +111,6 @@ class Param:
     below: float | None = None
     choices: tuple = ()
     fields: dict | None = None
-
-
-def _finite(value) -> bool:
-    """False for NaN and +-Infinity (Python's json accepts both) and ints beyond float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _is_number(value) -> bool:

@@ -54,12 +54,22 @@ class PhysicalConstants:
 CGS = PhysicalConstants()
 
 
+def _finite(value) -> bool:
+    """``math.isfinite``, but False where an int past the float range raises ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _vec3(value, name: str) -> Vec3:
     """``value`` as three floats; ``ValueError`` unless it is three finite numbers."""
     try:
         v = () if isinstance(value, str) else tuple(map(float, value))
     except TypeError:  # not iterable, or an entry that is not a number
         v = ()
+    except OverflowError:  # an int entry past the float range
+        raise ValueError(f"{name} must be finite") from None
     if len(v) != 3:
         raise ValueError(f"{name} must be a 3-vector, got {value!r}")
     if not all(map(math.isfinite, v)):
@@ -82,7 +92,7 @@ class PointCharge:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "position", _vec3(self.position, "position"))
-        if not math.isfinite(self.q):
+        if not _finite(self.q):
             raise ValueError("charge must be finite")
 
 
@@ -157,7 +167,7 @@ class TestParticle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "r0", _vec3(self.r0, "r0"))
         object.__setattr__(self, "v0", _vec3(self.v0, "v0"))
-        if not math.isfinite(self.q):
+        if not _finite(self.q):
             raise ValueError("charge must be finite")
         _require_positive(self.m, "mass")
         speed = math.hypot(*self.v0)

@@ -37,6 +37,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from .fields import _finite
+
 ARM_UPPER = "upper"
 ARM_LOWER = "lower"
 ARMS = (ARM_UPPER, ARM_LOWER)
@@ -47,10 +49,15 @@ OUTCOME_LIGHT = "light"
 OUTCOME_DARK = "dark"
 OUTCOME_ABSORBED = "absorbed"
 
-# Uniform draws held at once while counting trials.  Generator.random yields
-# the same doubles in the same order whatever the block size, so the block only
-# bounds memory; counts and the generator's final state do not depend on it.
+# Uniform draws held at once by each thread that counts trials.  Generator.random
+# yields the same doubles in the same order whatever the block size, so the
+# block only bounds memory; counts and the generator's final state do not
+# depend on it.
 _BLOCK = 65_536
+
+# Most spans one count is split into (see _count_split), so the draws held at
+# once stay under 4 blocks, about 2.4 MB, on a host of any size.
+_MAX_SPANS = 4
 
 # Largest Zeno cycle count.  The closed form computes with N as a float, which
 # is exact up to 2**53; at 2**1023, 2N overflows and the result is NaN.
@@ -75,7 +82,7 @@ class EvSetup:
             raise ValueError(f"object_present must be a bool, got {self.object_present!r}")
         if self.object_arm not in ARMS:
             raise ValueError(f"object_arm must be one of {ARMS}, got {self.object_arm!r}")
-        if not math.isfinite(self.arm_phase):
+        if not _finite(self.arm_phase):
             raise ValueError(f"arm_phase must be finite, got {self.arm_phase}")
 
 
@@ -132,12 +139,20 @@ def _count_below(rng, n: int, cuts) -> list[int]:
 
     ``rng`` is a ``numpy.random.Generator``, which the draws advance, or a
     seed for one; every seeded draw of the package is made here.  The draws
-    come in blocks of :data:`_BLOCK`, so memory stays O(block) for any ``n``
-    while the stream consumed is exactly that of ``rng.random(n)``.
+    come in blocks of :data:`_BLOCK`, so the stream consumed is exactly that
+    of ``rng.random(n)``.  From 2 blocks on, a ``PCG64`` stream (the one a
+    seed gives) is split over the usable CPUs (:func:`_count_split`), so
+    memory is one block per worker thread rather than one block; the counts
+    and the generator's final state do not depend on the CPU count.
     """
     import numpy as np
 
     rng = np.random.default_rng(rng)  # a Generator is returned unchanged
+    if n >= 2 * _BLOCK and type(rng.bit_generator) is np.random.PCG64:
+        import os
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return _count_split(rng, n, cuts, cpus or 1)
     counts = [0] * len(cuts)
     left = n
     while left > 0:
@@ -146,6 +161,69 @@ def _count_below(rng, n: int, cuts) -> list[int]:
             counts[i] += int(np.count_nonzero(u < cut))
         left -= len(u)
     return counts
+
+
+def _count_split(rng, n: int, cuts, workers: int) -> list[int]:
+    """:func:`_count_below` for a ``PCG64`` generator, over up to ``workers`` threads.
+
+    ``n`` is cut into ``min(workers, n // _BLOCK, _MAX_SPANS)`` contiguous
+    spans.  Span i draws from a fresh ``PCG64`` set to ``rng``'s state and
+    advanced past the draws of the spans before it.  PCG64 is an LCG
+    underneath, so it jumps ahead by any count in O(log n) (O'Neill, "PCG: A
+    Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+    Random Number Generation", 2014), and the spans together draw exactly the
+    doubles of ``rng.random(n)``.  The calling thread draws span 0 and one
+    thread each draws the others; numpy's fill and compare loops release the
+    GIL, so the spans run in parallel.  ``rng`` ends in the state that
+    ``rng.random(n)`` leaves.  Each span's buffers are made here, in the
+    calling thread; no thread outlives the call, and an exception in any span
+    is raised here.
+    """
+    import threading
+
+    import numpy as np
+
+    start = rng.bit_generator.state
+    w = min(workers, n // _BLOCK, _MAX_SPANS)
+    edges = [n * i // w for i in range(w + 1)]
+    spans = []
+    for lo, hi in zip(edges, edges[1:]):
+        bits = np.random.PCG64(0)  # a fixed seed, at once replaced by the caller's state
+        bits.state = start
+        bits.advance(lo)
+        buffers = np.empty(_BLOCK), np.empty(_BLOCK, dtype=bool)
+        spans.append((np.random.Generator(bits), hi - lo, *buffers))
+    counts = [[0] * len(cuts) for _ in spans]
+    errors = []
+
+    def draw(k: int) -> None:
+        gen, left, u, below = spans[k]
+        try:
+            while left > 0:
+                m = min(_BLOCK, left)
+                gen.random(out=u[:m])
+                for i, cut in enumerate(cuts):
+                    counts[k][i] += int(np.count_nonzero(np.less(u[:m], cut, out=below[:m])))
+                left -= m
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=draw, args=(k,)) for k in range(1, w)]
+    try:
+        for t in threads:
+            t.start()
+        draw(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    if errors:
+        raise errors[0]
+    end = spans[-1][0].bit_generator.state
+    # random() leaves the buffered half of a 32-bit draw alone; advance() clears it.
+    rng.bit_generator.state = {**end, "has_uint32": start["has_uint32"],
+                               "uinteger": start["uinteger"]}
+    return [sum(column) for column in zip(*counts)]
 
 
 def _require_count(value, name: str) -> None:
@@ -167,7 +245,9 @@ def run_ev_trials(setup: EvSetup, n_trials: int, rng) -> dict[str, int]:
     Each trial is one uniform draw u compared with the normalised CDF of
     (light, dark, absorbed): light when u < cdf[0], dark when
     cdf[0] <= u < cdf[1], absorbed otherwise.  The draws are counted in fixed
-    blocks, so memory does not grow with ``n_trials``.  This is the inverse
+    blocks, one per worker thread (see :func:`_count_below`), so memory does
+    not grow with ``n_trials`` and the counts do not depend on the CPU
+    count.  This is the inverse
     CDF that ``rng.choice(3, size=n_trials, p=p)`` evaluates, so the counts
     and the generator's final state are bit-identical to those of that call:
     p over its sum, then the running sum over its last entry, summed left to

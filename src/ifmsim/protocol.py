@@ -163,7 +163,13 @@ class ScanConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(float(p) for p in self.positions))
+        try:
+            positions = tuple(float(p) for p in self.positions)
+        except OverflowError:  # an int past the float range
+            positions = (math.inf,)
+        if not all(map(math.isfinite, positions)):
+            raise ValueError("positions must be finite")
+        object.__setattr__(self, "positions", positions)
         if not self.positions:
             raise ValueError("positions must be nonempty")
         if any(b >= a for a, b in zip(self.positions, self.positions[1:])):

@@ -1,6 +1,9 @@
 """Bomb-test statistics: exact splits, Monte Carlo agreement, N-cycle variant."""
 
 import math
+import os
+import sys
+import threading
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -8,6 +11,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from ifmsim import photon_mz
 from ifmsim.cli import main
 from ifmsim.photon_mz import (
     ARM_LOWER,
@@ -97,7 +101,8 @@ class TestAnalyticDistribution:
         with pytest.raises(ValueError, match="^object_present must be a bool"):
             EvSetup(object_present=flag)
 
-    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "int-past-float-range"])
     def test_nonfinite_phase_rejected(self, phase):
         with pytest.raises(ValueError, match="arm_phase"):
             EvSetup(arm_phase=phase)
@@ -235,6 +240,92 @@ class TestBlockedSampler:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+B = photon_mz._BLOCK
+SPLIT_SIZES = [2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 7, 5 * B + 3]
+CUTS = (0.0, 1.0 / 9.0, 0.25, 0.5, 1.0)
+
+
+def one_array(rng, n):
+    """Counts below CUTS of one ``rng.random(n)``: the oracle of every split."""
+    u = rng.random(n)
+    return [int(np.count_nonzero(u < cut)) for cut in CUTS]
+
+
+def seeded_pair(seed, bits, half_used):
+    """Two generators in one state; ``half_used`` draws one uint32 first."""
+    pair = [np.random.Generator(bits(seed)) for _ in range(2)]
+    if half_used:
+        for rng in pair:
+            rng.integers(0, 10, dtype=np.uint32)
+    return pair
+
+
+def same_state(a, b) -> bool:
+    """Bit-generator states equal, through the arrays of MT19937 and Philox."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b)) if isinstance(a, np.ndarray) else a == b
+
+
+class TestSplitDraws:
+    """A PCG64 stream split over threads counts exactly what one rng.random(n) does."""
+
+    @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half-used"])
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_split_matches_one_array(self, workers, n, half_used):
+        rng, ref = seeded_pair(n + workers, np.random.PCG64, half_used)
+        assert rng.bit_generator.state["has_uint32"] == half_used
+        before = threading.active_count()
+        assert photon_mz._count_split(rng, n, CUTS, workers) == one_array(ref, n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert threading.active_count() == before
+
+    def test_split_holds_under_fast_thread_switching(self):
+        rng, ref = seeded_pair(9, np.random.PCG64, half_used=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert photon_mz._count_split(rng, 6 * B + 5, CUTS, 4) == one_array(ref, 6 * B + 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_count_below_splits_only_pcg64_from_two_blocks(self, n, monkeypatch):
+        calls = []
+        split = photon_mz._count_split
+        monkeypatch.setattr(photon_mz, "_count_split", lambda *a: calls.append(a[3]) or split(*a))
+        for bits in (np.random.PCG64, np.random.MT19937, np.random.Philox):
+            rng, ref = seeded_pair(n, bits, half_used=True)
+            assert photon_mz._count_below(rng, n, CUTS) == one_array(ref, n)
+            assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+        assert len(calls) == (n >= 2 * B)
+
+    def test_small_draws_skip_the_cpu_query(self, monkeypatch):
+        def no_query(pid):
+            raise AssertionError("the CPU set was read for a one-block draw")
+
+        monkeypatch.setattr(os, "sched_getaffinity", no_query, raising=False)
+        rng, ref = seeded_pair(7, np.random.PCG64, half_used=False)
+        assert photon_mz._count_below(rng, 2 * B - 1, CUTS) == one_array(ref, 2 * B - 1)
+
+    def test_span_error_is_raised_in_caller_and_threads_end(self):
+        before = threading.active_count()
+        with pytest.raises(TypeError):
+            photon_mz._count_split(np.random.default_rng(3), 4 * B, (0.5, "not a cut"), 4)
+        assert threading.active_count() == before
+
+    def test_ev_counts_do_not_depend_on_cpu_count(self, monkeypatch):
+        setup, n = EvSetup(object_present=True), 10**6
+        expected = choice_counts(setup, n, np.random.default_rng(42))
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_ev_trials(setup, n, 42) == expected
 
 
 # Cycle counts past MAX_CYCLES; 2**1023 gave NaN probabilities, 2**1024 an OverflowError.

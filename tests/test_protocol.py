@@ -261,6 +261,13 @@ class TestScanConfigValidation:
         with pytest.raises(ValueError, match="positive"):
             scan_config(positions=(0.4, 0.0, -0.2))
 
+    @pytest.mark.parametrize("positions", [(math.inf, 0.3), (0.4, math.nan), (10**400, 0.3)],
+                             ids=["inf", "nan", "int-past-float-range"])
+    def test_positions_finite(self, positions):
+        # 10**400 raised OverflowError from float(); inf was kept as a position.
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            scan_config(positions=positions)
+
     def test_positions_nonempty(self):
         with pytest.raises(ValueError):
             scan_config(positions=())
