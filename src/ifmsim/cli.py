@@ -47,23 +47,19 @@ from .fields import (
     UniformBRegion,
     _check_launch,
     _finite,
+    _finite_result,
     light_deflection,
     with_position,
 )
 from .matter_mz import NO_BLOCKS, GratingSpec, InterferometerModel, ifm_efficiency, path_weights
-from .photon_mz import ARMS, MAX_CYCLES, EvSetup
+from .photon_mz import ARMS, MAX_CYCLES, MAX_SEED, MAX_TRIALS, EvSetup
 from .protocol import CalibrationSetup, ScanConfig, ab_phase, calibrate, required_trials
 from .records import ResultRecord, make_metadata, record_text, scan_table_text
 
-MAX_SEED = 2**64 - 1
-
-# Caps that keep every valid input bounded in time and memory.  Sampling
-# takes time linear in the trials but fixed memory: one block of draws per
-# worker thread, at most 4 blocks (photon_mz._count_split), with counts that
-# do not depend on the CPU count.  An electric scan
-# integrates one trajectory per position at up to (path length / speed) / dt
-# RK4 steps; a magnetic scan row is exact, in O(1).
-MAX_TRIALS = 10_000_000
+# Caps that keep every valid input bounded in time and memory, with
+# photon_mz.MAX_TRIALS: sampling takes time linear in the trials but fixed
+# memory.  An electric scan integrates one trajectory per position at up to
+# (path length / speed) / dt RK4 steps; a magnetic scan row is exact, in O(1).
 MAX_POSITIONS = 100
 MIN_DT = 1e-13
 
@@ -315,10 +311,6 @@ class _Errors(list):
             self.append(f"{path}: {exc}")
             return None
 
-    def finite(self, path: str, name: str, value: float) -> None:
-        if not math.isfinite(value):
-            self.append(f"{path}: {name} is {value}, not a finite float")
-
     def check(self) -> None:
         if self:
             raise ConfigError(self)
@@ -388,13 +380,14 @@ def _prepare_scan(p: dict, seed: int, magnetic: bool) -> partial:
             if template is None or errors.at("parameters.scan.positions", with_position,
                                              template, geometry.source_position(distance)) is None:
                 break
-        errors.finite("parameters.field_vector", "the gyrofrequency |q B|/(m c)",
-                      math.hypot(*(q_m / CGS.c * b for b in p["field_vector"])))
+        errors.at("parameters.field_vector", _finite_result,
+                  math.hypot(*(q_m / CGS.c * b for b in p["field_vector"])),
+                  "the gyrofrequency |q B|/(m c)")
         source = {"field_vector": [float(b) for b in p["field_vector"]],
                   "box_half_widths": half, "enclosed_flux": flux}
     else:
         template = PointCharge(float(p["source_charge"]), geom["source_anchor"])
-        errors.finite("parameters.source_charge", "q Q / m", q_m * p["source_charge"])
+        errors.at("parameters.source_charge", _finite_result, q_m * p["source_charge"], "q Q / m")
         source = {"source_charge": template.q}
     setup = CalibrationSetup(float(cages["transit_time"]), float(cages["potential_upper"]),
                              float(cages["potential_lower"]), flux)
@@ -449,7 +442,7 @@ def _prepare_gravity(p: dict, seed: int) -> partial:
     mass = b = delta_phi = density = None
     if "mass" in p:
         mass, b = float(p["mass"]), float(p["impact_parameter"])
-        errors.finite("parameters.mass", "the deflection 4GM/(b c^2)", light_deflection(mass, b))
+        errors.at("parameters.mass", light_deflection, mass, b)
     if "delta_phi" in p:
         delta_phi = float(p["delta_phi"])
         density = float(p.get("density", runners.IRIDIUM_DENSITY))

@@ -55,11 +55,8 @@ CGS = PhysicalConstants()
 
 
 def _finite(value) -> bool:
-    """``math.isfinite``, but False where an int past the float range raises ``OverflowError``."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+    """``math.isfinite``, but False, not ``OverflowError``, for an int past the float range."""
+    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _vec3(value, name: str) -> Vec3:
@@ -78,9 +75,16 @@ def _vec3(value, name: str) -> Vec3:
 
 
 def _require_positive(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is finite and positive; NaN fails too."""
-    if not 0.0 < value < math.inf:
+    """Raise ``ValueError`` unless ``value`` is a positive float or an int in the float range."""
+    if not 0.0 < value <= sys.float_info.max:  # NaN fails too
         raise ValueError(f"{name} must be finite and positive")
+
+
+def _finite_result(value: float, name: str) -> float:
+    """``value``, or ``ValueError`` where the computed ``name`` left the float range."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {value}, not a finite float")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -875,6 +879,8 @@ class BeamGeometry:
     approach_direction: Vec3
 
     def __post_init__(self) -> None:
+        if not _finite(self.exit_plane_x):
+            raise ValueError("exit_plane_x must be finite")
         object.__setattr__(self, "source_anchor", _vec3(self.source_anchor, "source_anchor"))
         d = _vec3(self.approach_direction, "approach_direction")
         norm = math.hypot(*d)
@@ -1010,12 +1016,13 @@ def critical_distance(
 def light_deflection(M: float, b: float) -> float:
     """First-order bending angle 4GM/(b c^2) of a light ray passing a mass.
 
-    M in g, impact parameter b in cm; returns radians.
+    M in g, impact parameter b in cm; returns radians.  A bending angle past
+    the float range raises ``ValueError``.
     """
     _require_positive(b, "impact parameter")
-    if not 0.0 <= M < math.inf:
+    if not 0.0 <= M <= sys.float_info.max:
         raise ValueError("mass must be finite and nonnegative")
-    return 4.0 * CGS.G * M / (b * CGS.c**2)
+    return _finite_result(4.0 * CGS.G * M / (b * CGS.c**2), "the deflection 4GM/(b c^2)")
 
 
 def sphere_radius_for_deflection(delta_phi: float, density: float) -> float:
@@ -1023,8 +1030,10 @@ def sphere_radius_for_deflection(delta_phi: float, density: float) -> float:
 
     Inverts delta_phi = (16/3) pi G rho R^2 / c^2 (mass (4/3) pi R^3 rho at
     impact parameter R), giving R = sqrt(3 delta_phi c^2 / (16 pi G rho)) cm.
+    A radius past the float range raises ``ValueError``.
     """
     _require_positive(delta_phi, "target deflection")
     _require_positive(density, "density")
     denominator = 16.0 * math.pi * CGS.G * density  # 0.0 at a subnormal density
-    return math.sqrt(3.0 * delta_phi * CGS.c**2 / denominator) if denominator else math.inf
+    radius = math.sqrt(3.0 * delta_phi * CGS.c**2 / denominator) if denominator else math.inf
+    return _finite_result(radius, "the sphere radius sqrt(3 delta_phi c^2/(16 pi G rho))")

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fields import _finite
+
 PATH_UPPER = "upper"
 PATH_LOWER = "lower"
 PATHS = frozenset((PATH_UPPER, PATH_LOWER))
@@ -78,7 +80,7 @@ class InterferometerModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.third_grating_phase < _TWO_PI:
             raise ValueError("third_grating_phase must lie in [0, 2*pi)")
-        if not math.isfinite(self.arm_extra_phase):
+        if not _finite(self.arm_extra_phase):
             raise ValueError(f"arm_extra_phase must be finite, got {self.arm_extra_phase}")
 
 

@@ -49,15 +49,22 @@ OUTCOME_LIGHT = "light"
 OUTCOME_DARK = "dark"
 OUTCOME_ABSORBED = "absorbed"
 
-# Uniform draws held at once by each thread that counts trials.  Generator.random
-# yields the same doubles in the same order whatever the block size, so the
-# block only bounds memory; counts and the generator's final state do not
-# depend on it.
+# Uniform draws held at once by each span of a count (see _count_below).
+# Generator.random yields the same doubles in the same order whatever the
+# block size, so the block only bounds memory; counts and the generator's
+# final state do not depend on it.
 _BLOCK = 65_536
 
-# Most spans one count is split into (see _count_split), so the draws held at
-# once stay under 4 blocks, about 2.4 MB, on a host of any size.
+# Most spans one count is split into, one per usable CPU up to this cap, so
+# the draws held at once stay under 4 blocks, about 2.4 MB, on any host.
 _MAX_SPANS = 4
+
+# Most trials of one bomb test or scan position, so that each takes bounded
+# time; memory is fixed at one block of draws per span (see _count_below).
+MAX_TRIALS = 10_000_000
+
+# Seeds, of a config and of a scan, are integers in [0, 2**64).
+MAX_SEED = 2**64 - 1
 
 # Largest Zeno cycle count.  The closed form computes with N as a float, which
 # is exact up to 2**53; at 2**1023, 2N overflows and the result is NaN.
@@ -138,81 +145,56 @@ def _count_below(rng, n: int, cuts) -> list[int]:
     """How many of ``n`` draws of ``rng.random()`` fall below each cut.
 
     ``rng`` is a ``numpy.random.Generator``, which the draws advance, or a
-    seed for one; every seeded draw of the package is made here.  The draws
-    come in blocks of :data:`_BLOCK`, so the stream consumed is exactly that
-    of ``rng.random(n)``.  From 2 blocks on, a ``PCG64`` stream (the one a
-    seed gives) is split over the usable CPUs (:func:`_count_split`), so
-    memory is one block per worker thread rather than one block; the counts
-    and the generator's final state do not depend on the CPU count.
+    seed for one; every seeded draw of the package is made here.  ``n`` is
+    cut into ``w`` contiguous spans, each counted by :func:`_count_span`
+    over buffers made here, and the counts and ``rng``'s final state are
+    those of one ``rng.random(n)`` whatever ``w``.  ``w`` is 1 (``rng``
+    itself, with no CPU query or thread) below 2 * :data:`_BLOCK` draws or
+    for a bit generator other than ``PCG64``, the one a seed gives.
+    Otherwise it is min(usable CPUs, n // _BLOCK, :data:`_MAX_SPANS`), and
+    span i draws from a ``PCG64`` set to ``rng``'s state and advanced past
+    the spans before it (O'Neill, "PCG: A Family of Simple Fast
+    Space-Efficient Statistically Good Algorithms for Random Number
+    Generation", 2014).  The calling thread counts span 0, one thread each
+    the others; numpy's loops release the GIL, so the split gains only
+    while another CPU is free.  A span's exception is raised here, after
+    every thread has ended.
     """
     import numpy as np
 
     rng = np.random.default_rng(rng)  # a Generator is returned unchanged
+    w = 1
     if n >= 2 * _BLOCK and type(rng.bit_generator) is np.random.PCG64:
         import os
 
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        return _count_split(rng, n, cuts, cpus or 1)
-    counts = [0] * len(cuts)
-    left = n
-    while left > 0:
-        u = rng.random(min(_BLOCK, left))
-        for i, cut in enumerate(cuts):
-            counts[i] += int(np.count_nonzero(u < cut))
-        left -= len(u)
-    return counts
-
-
-def _count_split(rng, n: int, cuts, workers: int) -> list[int]:
-    """:func:`_count_below` for a ``PCG64`` generator, over up to ``workers`` threads.
-
-    ``n`` is cut into ``min(workers, n // _BLOCK, _MAX_SPANS)`` contiguous
-    spans.  Span i draws from a fresh ``PCG64`` set to ``rng``'s state and
-    advanced past the draws of the spans before it.  PCG64 is an LCG
-    underneath, so it jumps ahead by any count in O(log n) (O'Neill, "PCG: A
-    Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-    Random Number Generation", 2014), and the spans together draw exactly the
-    doubles of ``rng.random(n)``.  The calling thread draws span 0 and one
-    thread each draws the others; numpy's fill and compare loops release the
-    GIL, so the spans run in parallel.  ``rng`` ends in the state that
-    ``rng.random(n)`` leaves.  Each span's buffers are made here, in the
-    calling thread; no thread outlives the call, and an exception in any span
-    is raised here.
-    """
+        w = min(cpus or 1, n // _BLOCK, _MAX_SPANS)
+    m = min(_BLOCK, n)
+    if w == 1:
+        return _count_span(rng, n, cuts, np.empty(m), np.empty(m, dtype=bool))
     import threading
 
-    import numpy as np
-
     start = rng.bit_generator.state
-    w = min(workers, n // _BLOCK, _MAX_SPANS)
     edges = [n * i // w for i in range(w + 1)]
     spans = []
     for lo, hi in zip(edges, edges[1:]):
         bits = np.random.PCG64(0)  # a fixed seed, at once replaced by the caller's state
         bits.state = start
-        bits.advance(lo)
-        buffers = np.empty(_BLOCK), np.empty(_BLOCK, dtype=bool)
-        spans.append((np.random.Generator(bits), hi - lo, *buffers))
-    counts = [[0] * len(cuts) for _ in spans]
-    errors = []
+        buffers = np.empty(m), np.empty(m, dtype=bool)
+        spans.append((np.random.Generator(bits.advance(lo)), hi - lo, cuts, *buffers))
+    counts, errors = [None] * w, []
 
-    def draw(k: int) -> None:
-        gen, left, u, below = spans[k]
+    def count(k: int) -> None:
         try:
-            while left > 0:
-                m = min(_BLOCK, left)
-                gen.random(out=u[:m])
-                for i, cut in enumerate(cuts):
-                    counts[k][i] += int(np.count_nonzero(np.less(u[:m], cut, out=below[:m])))
-                left -= m
+            counts[k] = _count_span(*spans[k])
         except Exception as exc:  # raised again in the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=draw, args=(k,)) for k in range(1, w)]
+    threads = [threading.Thread(target=count, args=(k,)) for k in range(1, w)]
     try:
         for t in threads:
             t.start()
-        draw(0)
+        count(0)
     finally:
         for t in threads:
             if t.ident is not None:  # started
@@ -226,16 +208,31 @@ def _count_split(rng, n: int, cuts, workers: int) -> list[int]:
     return [sum(column) for column in zip(*counts)]
 
 
-def _require_count(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (numpy's too), not a bool, and >= 1."""
+def _count_span(gen, n: int, cuts, u, below) -> list[int]:
+    """Counts below each cut of ``n`` draws of ``gen.random()``, into float and bool buffers."""
+    import numpy as np
+
+    counts = [0] * len(cuts)
+    while n > 0:
+        if n < len(u):  # the last, short block
+            u, below = u[:n], below[:n]
+        gen.random(out=u)
+        for i, cut in enumerate(cuts):
+            counts[i] += int(np.count_nonzero(np.less(u, cut, out=below)))
+        n -= len(u)
+    return counts
+
+
+def _require_count(value, name: str, high: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy's too), not a bool, in [1, high]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if not 1 <= value <= high:
+        raise ValueError(f"{name} must lie in [1, {high}]")
 
 
 def run_ev_trials(setup: EvSetup, n_trials: int, rng) -> dict[str, int]:
-    """Sample ``n_trials`` independent single-photon runs.
+    """Sample ``n_trials`` (at most :data:`MAX_TRIALS`) independent single-photon runs.
 
     ``rng`` is a ``numpy.random.Generator`` or a seed (see :func:`_count_below`).
     Returns counts per outcome label ("light", "dark", "absorbed"); counts sum
@@ -245,15 +242,15 @@ def run_ev_trials(setup: EvSetup, n_trials: int, rng) -> dict[str, int]:
     Each trial is one uniform draw u compared with the normalised CDF of
     (light, dark, absorbed): light when u < cdf[0], dark when
     cdf[0] <= u < cdf[1], absorbed otherwise.  The draws are counted in fixed
-    blocks, one per worker thread (see :func:`_count_below`), so memory does
-    not grow with ``n_trials`` and the counts do not depend on the CPU
-    count.  This is the inverse
-    CDF that ``rng.choice(3, size=n_trials, p=p)`` evaluates, so the counts
-    and the generator's final state are bit-identical to those of that call:
+    blocks, one per span and one span per usable CPU (see
+    :func:`_count_below`), so memory does not grow with ``n_trials`` and the
+    counts do not depend on the CPU count.  This is the inverse CDF that
+    ``rng.choice(3, size=n_trials, p=p)`` evaluates, so the counts and the
+    generator's final state are bit-identical to those of that call:
     p over its sum, then the running sum over its last entry, summed left to
     right as numpy sums three floats.
     """
-    _require_count(n_trials, "n_trials")
+    _require_count(n_trials, "n_trials", MAX_TRIALS)
     light, dark, _ = _port_probabilities(setup)
     p = (light, dark, max(0.0, 1.0 - (light + dark)))
     total = p[0] + p[1] + p[2]
@@ -278,9 +275,7 @@ def zeno_ifm_distribution(n_cycles: int, object_present: bool) -> ZenoDistributi
     in [1, :data:`MAX_CYCLES`] as exp(2N * log1p(-2 sin^2(pi/(4N)))), which
     keeps full relative precision where cos(pi/(2N)) rounds close to 1.
     """
-    if not 1 <= n_cycles <= MAX_CYCLES:
-        raise ValueError("n_cycles must lie in [1, 2**53]")
-    _require_count(n_cycles, "n_cycles")
+    _require_count(n_cycles, "n_cycles", MAX_CYCLES)
     if not isinstance(object_present, bool):
         raise ValueError(f"object_present must be a bool, got {object_present!r}")
     if not object_present:

@@ -33,6 +33,8 @@ from .fields import (
     ProtocolError,
     TestParticle,
     Vec3,
+    _finite,
+    _finite_result,
     _require_positive,
     scan_row,
 )
@@ -46,7 +48,7 @@ from .matter_mz import (
     solve_ideal_offset,
     wrap_phase,
 )
-from .photon_mz import _count_below, _require_count
+from .photon_mz import MAX_SEED, MAX_TRIALS, _count_below, _require_count
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,9 @@ class CalibrationSetup:
 
     def __post_init__(self) -> None:
         _require_positive(self.transit_time, "transit_time")
+        if not all(map(_finite, (self.cage_potential_upper, self.cage_potential_lower,
+                                 self.enclosed_flux))):
+            raise ValueError("cage potentials and enclosed_flux must be finite")
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,8 @@ def potential_phase(q: float, delta_V: float, transit_time: float) -> float:
     q in statC, delta_V in statV, transit_time in s; returns radians in
     [0, 2*pi).  A phase that is not a finite float raises ``ValueError``.
     """
-    return _finite_phase(-q * delta_V * transit_time / CGS.hbar, "potential phase -q dV T/hbar")
+    return _finite_phase(lambda: -q * delta_V * transit_time / CGS.hbar,
+                         "the potential phase -q dV T/hbar")
 
 
 def ab_phase(q: float, flux: float) -> float:
@@ -91,13 +97,17 @@ def ab_phase(q: float, flux: float) -> float:
     vanishes along both paths.  A phase that is not a finite float raises
     ``ValueError``.
     """
-    return _finite_phase(q * flux / (CGS.hbar * CGS.c), "Aharonov-Bohm phase q flux/(hbar c)")
+    return _finite_phase(lambda: q * flux / (CGS.hbar * CGS.c),
+                         "the Aharonov-Bohm phase q flux/(hbar c)")
 
 
-def _finite_phase(phase: float, name: str) -> float:
-    if not math.isfinite(phase):
-        raise ValueError(f"the {name} is {phase}, not a finite float")
-    return wrap_phase(phase)
+def _finite_phase(phase, name: str) -> float:
+    """``phase()`` wrapped into [0, 2*pi); ``ValueError`` where it is not a finite float."""
+    try:
+        value = phase()
+    except OverflowError:  # an int argument past the float range
+        value = math.inf
+    return wrap_phase(_finite_result(value, name))
 
 
 def calibrate(model: InterferometerModel, setup: CalibrationSetup, q: float) -> CalibrationResult:
@@ -176,10 +186,11 @@ class ScanConfig:
             raise ValueError("positions must be strictly decreasing (approaching the beam)")
         if not all(p > 0.0 for p in self.positions):
             raise ValueError("positions must be positive distances")
-        _require_count(self.trials_per_position, "trials_per_position")
+        _require_count(self.trials_per_position, "trials_per_position", MAX_TRIALS)
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or not 0 <= seed <= MAX_SEED):
+            raise ValueError(f"seed must be a non-negative integer below 2**64, got {seed!r:.60}")
         if not 0.0 < self.confidence_target < 1.0:
             raise ValueError("confidence_target must lie in (0, 1)")
         _require_positive(self.phi_c, "phi_c")

@@ -122,7 +122,7 @@ def gravity_sphere(delta_phi: float, density: float) -> tuple[float, float]:
         mass = 4.0 / 3.0 * math.pi * radius**3 * density
     except OverflowError:
         mass = math.inf
-    if not (0.0 < radius < math.inf and math.isfinite(mass)):
+    if not (radius > 0.0 and math.isfinite(mass)):
         raise ValueError(f"the sphere has radius {radius:g} cm and mass {mass:g} g; "
                          "the radius must be positive and finite, the mass finite")
     return radius, mass

@@ -1053,6 +1053,18 @@ def test_payload_and_scan_table_pinned(case, tmp_path):
     assert _run_pin_case(case, tmp_path) == PINNED_FINGERPRINTS[case]
 
 
+@pytest.mark.parametrize("scenario", list(PIN_RUN_PARAMETERS))
+def test_echoed_payload_is_a_config(scenario):
+    # A payload echoes its scenario, seed and filled parameters; run again as
+    # a config, the echo gives back the same payload, byte for byte.
+    first = payload_text(run_scenario(config_from_dict(
+        {"scenario": scenario, "seed": 7, "parameters": PIN_RUN_PARAMETERS[scenario]})))
+    echo = json.loads(first)
+    again = payload_text(run_scenario(config_from_dict(
+        {key: echo[key] for key in ("scenario", "seed", "parameters")})))
+    assert again == first
+
+
 def _parser_surface():
     from ifmsim.cli import build_parser
 

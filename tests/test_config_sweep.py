@@ -7,8 +7,9 @@ a returned config of a scenario that samples or evaluates closed forms must
 also run and record only finite numbers.  Scans are validated but not run:
 their rows cost RK4 integration.  Unknown keys are left out.
 
-The public constructors get the same values, one argument at a time: each
-call must raise ``ValueError`` or ``TypeError`` or return only finite floats.
+The public constructors and closed-form functions get the same values, one
+argument at a time: each call must raise ``ValueError`` or ``TypeError`` or
+return only finite floats, and no int past the float range.
 """
 
 import copy
@@ -21,10 +22,18 @@ import pytest
 
 from ifmsim import cli
 from ifmsim.cli import MAX_POSITIONS, ConfigError, config_from_dict, run_scenario
-from ifmsim.fields import BeamGeometry, PointCharge, TestParticle, UniformBRegion
-from ifmsim.matter_mz import GratingSpec
+from ifmsim.fields import (
+    BeamGeometry,
+    PointCharge,
+    TestParticle,
+    UniformBRegion,
+    UniformERegion,
+    light_deflection,
+    sphere_radius_for_deflection,
+)
+from ifmsim.matter_mz import GratingSpec, InterferometerModel
 from ifmsim.photon_mz import ARMS, MAX_CYCLES, EvSetup, zeno_ifm_distribution
-from ifmsim.protocol import ScanConfig
+from ifmsim.protocol import CalibrationSetup, ScanConfig, ab_phase, potential_phase
 from ifmsim.records import payload_text
 
 # A valid config of each scenario, to which the walk adds every default.
@@ -133,23 +142,27 @@ def test_extreme_values_exit_2_at_a_field_path_or_run(scenario):
 GEOMETRY = BeamGeometry(0.5, (0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 PROBABILITY = cli.Param("number", low=0.0, high=1.0)
 POSITIVE = cli.Param("number", above=0.0)
+NUMBER = cli.Param("number")
 VECTOR = cli.Param("vector")
+GRATING = GratingSpec.symmetric(1 / 3)
 
-# Each constructor's arguments: a valid value, and the Param whose kind and
-# bounds (the constructor's own rules) give the values swept in its place;
+# Each constructor's or function's arguments: a valid value, and the Param
+# whose kind and bounds (its own rules) give the values swept in its place;
 # None keeps the valid value.
 CONSTRUCTORS = {
     EvSetup: {"object_present": (True, cli.Param("bool")),
               "object_arm": ("upper", cli.Param("choice", choices=ARMS)),
-              "arm_phase": (0.0, cli.Param("number"))},
+              "arm_phase": (0.0, NUMBER)},
     GratingSpec: {"p_minus1": (1 / 3, PROBABILITY), "p_0": (1 / 3, PROBABILITY),
                   "p_plus1": (1 / 3, PROBABILITY), "loss": (0.0, PROBABILITY)},
-    TestParticle: {"q": (-4.8e-10, cli.Param("number")), "m": (9.11e-28, POSITIVE),
+    TestParticle: {"q": (-4.8e-10, NUMBER), "m": (9.11e-28, POSITIVE),
                    "r0": ([-0.5, 0.0, 0.0], VECTOR), "v0": ([1e8, 0.0, 0.0], VECTOR)},
-    PointCharge: {"q": (5e-6, cli.Param("number")), "position": ([0.0, 0.4, 0.0], VECTOR)},
+    PointCharge: {"q": (5e-6, NUMBER), "position": ([0.0, 0.4, 0.0], VECTOR)},
     UniformBRegion: {"B": ([0.0, 0.0, 1e-3], VECTOR), "box_min": ([-0.2, -0.08, -0.2], VECTOR),
                      "box_max": ([0.2, 0.08, 0.2], VECTOR)},
-    BeamGeometry: {"exit_plane_x": (0.5, cli.Param("number")),
+    UniformERegion: {"E": ([1e-3, 0.0, 0.0], VECTOR), "box_min": ([-0.2, -0.08, -0.2], VECTOR),
+                     "box_max": ([0.2, 0.08, 0.2], VECTOR)},
+    BeamGeometry: {"exit_plane_x": (0.5, NUMBER),
                    "source_anchor": ([0.0, 0.0, 0.0], VECTOR),
                    "approach_direction": ([0.0, 1.0, 0.0], VECTOR)},
     ScanConfig: {"positions": ([0.3, 0.2], cli.Param("positions")),
@@ -159,18 +172,34 @@ CONSTRUCTORS = {
                  "geometry": (GEOMETRY, None), "dt": (1e-11, POSITIVE)},
     zeno_ifm_distribution: {"n_cycles": (8, cli.Param("int", low=1, high=MAX_CYCLES)),
                             "object_present": (True, cli.Param("bool"))},
+    CalibrationSetup: {"transit_time": (1e-3, POSITIVE), "cage_potential_upper": (0.1, NUMBER),
+                       "cage_potential_lower": (0.0, NUMBER), "enclosed_flux": (1e-7, NUMBER)},
+    InterferometerModel: {"g1": (GRATING, None), "g2": (GRATING, None), "g3": (GRATING, None),
+                          "third_grating_phase": (0.0, cli.Param("number", low=0.0,
+                                                                 below=2 * math.pi)),
+                          "arm_extra_phase": (0.0, NUMBER)},
+    light_deflection: {"M": (1e27, cli.Param("number", low=0.0)), "b": (1e9, POSITIVE)},
+    sphere_radius_for_deflection: {"delta_phi": (1e-9, POSITIVE), "density": (22.6, POSITIVE)},
+    ab_phase: {"q": (-4.8e-10, NUMBER), "flux": (1e-7, NUMBER)},
+    potential_phase: {"q": (-4.8e-10, NUMBER), "delta_V": (0.1, NUMBER),
+                      "transit_time": (1e-3, NUMBER)},
 }
 
-def _floats(obj):
-    """Every float in ``obj``, through tuples, lists and dataclass fields."""
-    if isinstance(obj, float):
+def _numbers(obj):
+    """Every float and int in ``obj``, through tuples, lists and dataclass fields."""
+    if isinstance(obj, (float, int)):
         yield obj
     elif isinstance(obj, (tuple, list)):
         for item in obj:
-            yield from _floats(item)
+            yield from _numbers(item)
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
-            yield from _floats(getattr(obj, f.name))
+            yield from _numbers(getattr(obj, f.name))
+
+
+def _out_of_range(x) -> bool:
+    """A float that is not finite, or an int that no float can hold (NaN fails too)."""
+    return not -sys.float_info.max <= x <= sys.float_info.max
 
 
 def test_constructors_reject_or_return_finite_floats():
@@ -189,6 +218,6 @@ def test_constructors_reject_or_return_finite_floats():
                 except Exception as exc:  # any other exception is a fault; list them all
                     faults.append(f"{label} raised {type(exc).__name__}: {exc}")
                     continue
-                faults += [f"{label} holds {x}" for x in _floats(made) if not math.isfinite(x)]
+                faults += [f"{label} holds {x!r:.60}" for x in _numbers(made) if _out_of_range(x)]
     assert cases > 700
     assert faults == []

@@ -138,6 +138,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_ev_trials(EvSetup(), 0, np.random.default_rng(0))
 
+    def test_trials_past_the_cap_rejected_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^n_trials must lie in \[1, 10000000\]$"):
+            run_ev_trials(EvSetup(), photon_mz.MAX_TRIALS + 1, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("n", [1e6, 16960.0, True, "100"])
     def test_non_integer_trials_rejected_before_any_draw(self, n):
         # 1e6 drew 15 blocks (983,040 draws) and then failed with a TypeError.
@@ -269,41 +276,60 @@ def same_state(a, b) -> bool:
     return bool(np.array_equal(a, b)) if isinstance(a, np.ndarray) else a == b
 
 
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """set_cpus(k) makes both CPU queries of _count_below report ``k`` usable CPUs."""
+
+    def patch(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    return patch
+
+
 class TestSplitDraws:
-    """A PCG64 stream split over threads counts exactly what one rng.random(n) does."""
+    """A count split over spans and threads counts exactly what one rng.random(n) does."""
 
     @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half-used"])
     @pytest.mark.parametrize("n", SPLIT_SIZES)
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_split_matches_one_array(self, workers, n, half_used):
-        rng, ref = seeded_pair(n + workers, np.random.PCG64, half_used)
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_split_matches_one_array(self, cpus, n, half_used, set_cpus):
+        set_cpus(cpus)
+        rng, ref = seeded_pair(n + cpus, np.random.PCG64, half_used)
         assert rng.bit_generator.state["has_uint32"] == half_used
         before = threading.active_count()
-        assert photon_mz._count_split(rng, n, CUTS, workers) == one_array(ref, n)
+        assert photon_mz._count_below(rng, n, CUTS) == one_array(ref, n)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert threading.active_count() == before
 
-    def test_split_holds_under_fast_thread_switching(self):
+    def test_split_holds_under_fast_thread_switching(self, set_cpus):
+        set_cpus(4)
         rng, ref = seeded_pair(9, np.random.PCG64, half_used=False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                assert photon_mz._count_split(rng, 6 * B + 5, CUTS, 4) == one_array(ref, 6 * B + 5)
+                assert photon_mz._count_below(rng, 6 * B + 5, CUTS) == one_array(ref, 6 * B + 5)
         finally:
             sys.setswitchinterval(interval)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n", SPLIT_SIZES)
-    def test_count_below_splits_only_pcg64_from_two_blocks(self, n, monkeypatch):
-        calls = []
-        split = photon_mz._count_split
-        monkeypatch.setattr(photon_mz, "_count_split", lambda *a: calls.append(a[3]) or split(*a))
+    def test_count_below_splits_only_pcg64_from_two_blocks(self, n, set_cpus, monkeypatch):
+        set_cpus(8)
+        spans = []
+        count_span = photon_mz._count_span
+        monkeypatch.setattr(photon_mz, "_count_span", lambda *a: spans.append(a) or count_span(*a))
         for bits in (np.random.PCG64, np.random.MT19937, np.random.Philox):
+            spans.clear()
             rng, ref = seeded_pair(n, bits, half_used=True)
             assert photon_mz._count_below(rng, n, CUTS) == one_array(ref, n)
             assert same_state(rng.bit_generator.state, ref.bit_generator.state)
-        assert len(calls) == (n >= 2 * B)
+            split = bits is np.random.PCG64 and n >= 2 * B
+            assert len(spans) == (min(n // B, photon_mz._MAX_SPANS) if split else 1)
+            assert (spans[0][0] is rng) != split  # one span draws from the caller's generator
+            edges = [n * i // len(spans) for i in range(len(spans) + 1)]
+            assert sorted(a[1] for a in spans) == sorted(b - a for a, b in zip(edges, edges[1:]))
 
     def test_small_draws_skip_the_cpu_query(self, monkeypatch):
         def no_query(pid):
@@ -313,18 +339,31 @@ class TestSplitDraws:
         rng, ref = seeded_pair(7, np.random.PCG64, half_used=False)
         assert photon_mz._count_below(rng, 2 * B - 1, CUTS) == one_array(ref, 2 * B - 1)
 
-    def test_span_error_is_raised_in_caller_and_threads_end(self):
+    @pytest.mark.parametrize("case", ["one-cpu", "one-block", "mt19937"])
+    def test_one_span_starts_no_thread(self, case, set_cpus, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-span draw started a thread")
+
+        set_cpus(1 if case == "one-cpu" else 4)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        n = 2 * B - 1 if case == "one-block" else 5 * B + 3
+        bits = np.random.MT19937 if case == "mt19937" else np.random.PCG64
+        rng, ref = seeded_pair(11, bits, half_used=False)
+        assert photon_mz._count_below(rng, n, CUTS) == one_array(ref, n)
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+    def test_span_error_is_raised_in_caller_and_threads_end(self, set_cpus):
+        set_cpus(4)
         before = threading.active_count()
         with pytest.raises(TypeError):
-            photon_mz._count_split(np.random.default_rng(3), 4 * B, (0.5, "not a cut"), 4)
+            photon_mz._count_below(np.random.default_rng(3), 4 * B, (0.5, "not a cut"))
         assert threading.active_count() == before
 
-    def test_ev_counts_do_not_depend_on_cpu_count(self, monkeypatch):
+    def test_ev_counts_do_not_depend_on_cpu_count(self, set_cpus):
         setup, n = EvSetup(object_present=True), 10**6
         expected = choice_counts(setup, n, np.random.default_rng(42))
         for cpus in (1, 2, 3, 8):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            set_cpus(cpus)
             assert run_ev_trials(setup, n, 42) == expected
 
 

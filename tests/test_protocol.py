@@ -285,6 +285,16 @@ class TestScanConfigValidation:
     def test_numpy_integer_trials_accepted(self):
         assert scan_config(trials_per_position=np.int64(200)).trials_per_position == 200
 
+    def test_trials_capped(self):
+        assert scan_config(trials_per_position=10**7).trials_per_position == 10**7
+        with pytest.raises(ValueError, match=r"^trials_per_position must lie in \[1, 10000000\]$"):
+            scan_config(trials_per_position=10**7 + 1)
+
+    def test_seed_below_2_to_the_64(self):
+        assert scan_config(seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer below 2"):
+            scan_config(seed=2**64)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(3.0), "3"])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         # -1 and 1.5 constructed, and the scan failed in numpy after its first row.
